@@ -9,7 +9,6 @@ from .gfp import (
     MatrixGFp,
     NonPrimeModulusError,
     binom_mod,
-    kernel_basis,
     multinomial_mod,
 )
 from .homspace import (

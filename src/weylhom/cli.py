@@ -20,6 +20,7 @@ from .homspace import hom_dim, verify_stabilization
 from .shapes import all_partitions, format_partition, parse_partition
 from .specht import DegreeBoundError, specht_hom_dim
 from .tableaux import enumerate_standard
+from .weyl import StraighteningLimitError
 
 EXIT_OK = 0
 EXIT_THEOREM_VIOLATED = 2
@@ -42,6 +43,11 @@ def _parse_common(args):
     if sum(lam) != sum(mu):
         raise CliError(f"degree mismatch: |{args.lam}| != |{args.mu}|")
     return lam, mu
+
+
+def _check_nonnegative(name: str, values) -> None:
+    if any(v < 0 for v in values):
+        raise CliError(f"{name} must be nonnegative, got {','.join(map(str, values))}")
 
 
 def _emit(report: dict, fmt: str, text_lines) -> None:
@@ -116,6 +122,8 @@ def _verify_report(lam, mu, p, k, d) -> dict:
 
 def cmd_verify(args) -> int:
     lam, mu = _parse_common(args)
+    _check_nonnegative("-k", [args.k])
+    _check_nonnegative("-d", [args.d])
     report = _verify_report(lam, mu, args.p, args.k, args.d)
     flags = report["hypotheses"]
     lines = [
@@ -161,6 +169,8 @@ def cmd_scan(args) -> int:
         ds = [int(v) for v in args.d_values.split(",")]
     except (ValueError, NonPrimeModulusError) as exc:
         raise CliError(f"bad scan grid: {exc}") from None
+    _check_nonnegative("--k-values", ks)
+    _check_nonnegative("--d-values", ds)
     cap = config.scan_degree_cap()
     complete = args.max_degree <= cap
     top = min(args.max_degree, cap)
@@ -277,7 +287,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, config.ConfigError, StraighteningLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import os
 
 
+class ConfigError(ValueError):
+    """An environment limit is set to a value that is not an integer."""
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
@@ -12,7 +16,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def expansion_limit() -> int:
@@ -21,7 +25,8 @@ def expansion_limit() -> int:
 
 
 def worker_count() -> int:
-    return max(1, _env_int("WEYLHOM_WORKERS", 1))
+    """Scan worker processes: WEYLHOM_WORKERS, clamped to 1..cpu_count()."""
+    return max(1, min(_env_int("WEYLHOM_WORKERS", 1), os.cpu_count() or 1))
 
 
 def scan_degree_cap() -> int:

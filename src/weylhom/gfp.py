@@ -118,9 +118,6 @@ class MatrixGFp:
                 m.set(i, j, v)
         return m
 
-    def to_dense(self) -> list[list[int]]:
-        return [[row.get(j, 0) for j in range(self.ncols)] for row in self.rows]
-
     def mul_vec(self, v) -> list[int]:
         p = self.p
         return [sum(c * v[j] for j, c in row.items()) % p for row in self.rows]
@@ -130,11 +127,6 @@ class MatrixGFp:
 
     def kernel_basis(self) -> list[list[int]]:
         return Echelon(self).kernel_basis()
-
-
-def kernel_basis(matrix: MatrixGFp) -> list[list[int]]:
-    """Reduced-echelon basis of the right kernel of a matrix over GF(p)."""
-    return matrix.kernel_basis()
 
 
 class Echelon:

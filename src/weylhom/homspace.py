@@ -171,6 +171,24 @@ def stabilize_hom(h: HomElement, k: int, d: int) -> HomElement:
     return HomElement(lam_plus, mu_plus, p, tuple(coeffs))
 
 
+def _in_reduced_span(v, kernel, p: int) -> bool:
+    """Whether v lies in the span of a reduced kernel basis (Echelon.kernel_basis).
+
+    Each basis vector's last nonzero entry is a 1 in its own free column, where
+    every other basis vector is 0; a kernel vector is fixed by its free
+    coordinates, so v is in the kernel exactly when v == sum v[free(b)] * b.
+    """
+    acc = [0] * len(v)
+    for b in kernel:
+        free = max(j for j, c in enumerate(b) if c)
+        c = v[free]
+        if c:
+            for j, x in enumerate(b):
+                if x:
+                    acc[j] = (acc[j] + c * x) % p
+    return acc == list(v)
+
+
 @dataclass(frozen=True)
 class StabilizationReport:
     """Outcome of one row-stabilization check.
@@ -223,19 +241,13 @@ def verify_stabilization(lam, mu, p: int, k: int, d: int) -> StabilizationReport
     hyp_power = p**d > min(lam2, mu1 - lam1)
     hyp_overlap = mu2 <= lam1
     dim, basis = hom_dim(lam, mu, p)
-    dim_plus, _ = hom_dim(lam_plus, mu_plus, p)
+    dim_plus, basis_plus = hom_dim(lam_plus, mu_plus, p)
     transport_in_kernel: bool | None = None
     if hyp_overlap:
-        if dim == 0:
-            transport_in_kernel = True
-        else:
-            matrix_plus = relation_matrix(lam_plus, mu_plus, p)
-            transport_in_kernel = True
-            for h in basis:
-                transported = stabilize_hom(h, k, d)
-                if any(matrix_plus.mul_vec(list(transported.coeffs))):
-                    transport_in_kernel = False
-                    break
+        kernel_plus = [h.coeffs for h in basis_plus]
+        transport_in_kernel = all(
+            _in_reduced_span(stabilize_hom(h, k, d).coeffs, kernel_plus, p) for h in basis
+        )
     correspondence = None
     if hyp_power and hyp_overlap:
         correspondence = (dim == dim_plus) and bool(transport_in_kernel)

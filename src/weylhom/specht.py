@@ -210,7 +210,6 @@ def specht_hom_dim(nu, nu_prime, p: int, bound: int | None = None) -> int:
 # against the degree <= 7 cases with asymmetric dimensions (see tests):
 # hom_dim(lam, mu, p) agrees with maps from the mu Specht module to the
 # lam one, i.e. specht_hom_dim(lam, mu, p).
-ORACLE_ORIENTATION = "weyl(lam,mu) == specht maps S^mu -> S^lam"
 
 
 def oracle_compare(lam, mu, p: int, bound: int | None = None) -> bool:

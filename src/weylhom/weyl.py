@@ -119,7 +119,7 @@ class WeylContext:
         self.p = p
         self.fallback_solves = 0
         self._expansions: dict[Tableau, dict[Tableau, int]] = {}
-        self._solvers: dict[tuple[int, ...], tuple[tuple[Tableau, ...], Echelon, dict]] = {}
+        self._solvers: dict[tuple[int, ...], tuple[tuple[Tableau, ...], dict, Echelon]] = {}
 
     # -- public ---------------------------------------------------------
 
@@ -216,13 +216,8 @@ class WeylContext:
         self.fallback_solves += 1
         alpha = tab.weight
         try:
-            std, ech, index = self._solver(alpha)
-            image = dprime(
-                self.mu,
-                [mono({j + 1: c for j, c in enumerate(row)}) for row in tab.counts],
-                self.p,
-                limit=config.expansion_limit(),
-            )
+            std, index, ech = self._solver(alpha)
+            image = realize(self.mu, tab, self.p)
         except ExpansionLimitError as exc:
             raise StraighteningLimitError(
                 f"straightening {tab.render()} in shape {self.mu} needs an exterior "
@@ -246,34 +241,14 @@ class WeylContext:
 
     def _solver(self, alpha):
         entry = self._solvers.get(alpha)
-        if entry is not None:
-            return entry
-        std = enumerate_standard(self.mu, alpha)
-        limit = config.expansion_limit()
-        images = []
-        index: dict = {}
-        for t in std:
-            img = dprime(
-                self.mu,
-                [mono({j + 1: c for j, c in enumerate(row)}) for row in t.counts],
-                self.p,
-                limit=limit,
-            )
-            images.append(img)
-            for k in img:
-                if k not in index:
-                    index[k] = len(index)
-        matrix = MatrixGFp(len(index), len(std), self.p)
-        for col, img in enumerate(images):
-            for k, v in img.items():
-                matrix.set(index[k], col, v)
-        ech = Echelon(matrix, with_transform=True)
-        if ech.rank != len(std):
-            raise InconsistentSystemError(
-                f"standard images of shape {self.mu}, weight {alpha} are dependent"
-            )
-        entry = (std, ech, index)
-        self._solvers[alpha] = entry
+        if entry is None:
+            std, index, matrix = standard_images(self.mu, alpha, self.p)
+            ech = Echelon(matrix, with_transform=True)
+            if ech.rank != len(std):
+                raise InconsistentSystemError(
+                    f"standard images of shape {self.mu}, weight {alpha} are dependent"
+                )
+            entry = self._solvers[alpha] = (std, index, ech)
         return entry
 
 
@@ -307,26 +282,31 @@ def two_row_straighten(tab: Tableau, p: int) -> WeylCoords:
     return straighten(tab.shape, tab, 1, p)
 
 
-def standard_image_matrix(mu, alpha, p: int) -> MatrixGFp:
-    """Matrix of exterior realizations of the standard tableaux of shape mu,
-    weight alpha: one column per tableau over a shared row index of exterior
-    monomials (sorted), full column rank."""
+def realize(mu, tab: Tableau, p: int) -> dict:
+    """Exterior realization of the class [tab] of shape mu, within the term
+    budget WEYLHOM_EXPANSION_LIMIT (ExpansionLimitError beyond it)."""
+    factors = [mono({j + 1: c for j, c in enumerate(row)}) for row in tab.counts]
+    return dprime(mu, factors, p, limit=config.expansion_limit())
+
+
+def standard_images(mu, alpha, p: int):
+    """The standard tableaux of shape mu and weight alpha, the sorted row index
+    of the exterior monomials their realizations touch, and the matrix with
+    one realization per column over that index (full column rank)."""
     mu = partition(mu)
     std = enumerate_standard(mu, alpha)
-    limit = config.expansion_limit()
-    images = [
-        dprime(
-            mu,
-            [mono({j + 1: c for j, c in enumerate(row)}) for row in t.counts],
-            p,
-            limit=limit,
-        )
-        for t in std
-    ]
+    images = [realize(mu, t, p) for t in std]
     keys = sorted({k for img in images for k in img})
     index = {k: i for i, k in enumerate(keys)}
     matrix = MatrixGFp(len(keys), len(std), p)
     for col, img in enumerate(images):
         for k, v in img.items():
             matrix.set(index[k], col, v)
-    return matrix
+    return std, index, matrix
+
+
+def standard_image_matrix(mu, alpha, p: int) -> MatrixGFp:
+    """Matrix of exterior realizations of the standard tableaux of shape mu,
+    weight alpha: one column per tableau over a shared row index of exterior
+    monomials (sorted), full column rank."""
+    return standard_images(mu, alpha, p)[2]

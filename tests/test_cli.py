@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 import weylhom.cli as cli
+from weylhom import config
 from weylhom.homspace import StabilizationReport
 
 
@@ -124,6 +127,48 @@ def test_invalid_inputs_exit_one(capsys):
     assert code == 1
 
 
+def test_verify_rejects_negative_k_and_d(capsys):
+    for flag in ("-k", "-d"):
+        code, out, err = run(
+            capsys, "verify", "-p", "3", "--lambda", "2,1", "--mu", "3", flag, "-1"
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be nonnegative, got -1\n"
+
+
+def test_scan_rejects_negative_k_and_d(capsys):
+    for flag in ("--k-values", "--d-values"):
+        code, out, err = run(capsys, "scan", "--max-degree", "2", flag, "1,-1")
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be nonnegative, got 1,-1\n"
+
+
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("WEYLHOM_WORKERS", "abc", ["scan", "--max-degree", "2"]),
+        ("WEYLHOM_MAX_SCAN_DEGREE", "abc", ["scan", "--max-degree", "2"]),
+        ("WEYLHOM_EXPANSION_LIMIT", "1", ["dim", "-p", "2", "--lambda", "1,1,1,1", "--mu", "2,2"]),
+    ],
+)
+def test_bad_limits_exit_one_with_one_line(capsys, monkeypatch, name, value, argv):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_worker_count_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setenv("WEYLHOM_WORKERS", "1000000")
+    monkeypatch.setattr(config.os, "cpu_count", lambda: 3)
+    assert config.worker_count() == 3
+    monkeypatch.setattr(config.os, "cpu_count", lambda: None)
+    assert config.worker_count() == 1
+    monkeypatch.setenv("WEYLHOM_WORKERS", "0")
+    monkeypatch.setattr(config.os, "cpu_count", lambda: 3)
+    assert config.worker_count() == 1
+
+
 def test_scan_text_and_json(capsys):
     code, report = run_json(
         capsys,
@@ -170,23 +215,12 @@ def test_scan_respects_degree_cap(capsys, monkeypatch):
 
 
 def test_scan_worker_pool_preserves_order(capsys, monkeypatch):
-    argv = [
-        "scan",
-        "--max-degree",
-        "3",
-        "--primes",
-        "3",
-        "--k-values",
-        "1",
-        "--d-values",
-        "1",
-        "--format",
-        "json",
-    ]
-    _, sequential = run_json(capsys, *argv)
+    argv = ["scan", "--max-degree", "4", "--format", "json"]
+    monkeypatch.setenv("WEYLHOM_WORKERS", "1")
+    _, sequential, _ = run(capsys, *argv)
     monkeypatch.setenv("WEYLHOM_WORKERS", "2")
-    _, pooled = run_json(capsys, *argv)
-    assert pooled == sequential
+    _, pooled, _ = run(capsys, *argv)
+    assert pooled == sequential  # byte-identical report
 
 
 def test_scan_counterexample_case_reported_as_skipped():

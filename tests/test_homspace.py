@@ -286,3 +286,46 @@ def test_phi_eval_shape_validation():
         phi_eval_terms(T, (mono({1: 1}), mono({2: 2})), 3)
     with pytest.raises(ValueError):
         phi_eval_terms(T, (mono({1: 2}), mono({2: 2}), mono({3: 1})), 3)
+
+
+def test_transport_check_matches_relation_matrix():
+    # the transport check reads membership off the stabilized reduced kernel
+    # basis; the reference multiplies by the stabilized relation matrix
+    checked = 0
+    for r in range(0, 7):
+        shapes = all_partitions(r)
+        for lam in shapes:
+            for mu in shapes:
+                for p in (2, 3, 5):
+                    for k in (1, 2):
+                        for d in (1, 2):
+                            rep = verify_stabilization(lam, mu, p, k, d)
+                            if not rep.hyp_overlap:
+                                continue
+                            basis = hom_dim(lam, mu, p)[1]
+                            expected = True
+                            if basis:
+                                matrix_plus = relation_matrix(rep.lam_plus, rep.mu_plus, p)
+                                expected = not any(
+                                    any(matrix_plus.mul_vec(stabilize_hom(h, k, d).coeffs))
+                                    for h in basis
+                                )
+                            assert rep.transport_in_kernel is expected, (lam, mu, p, k, d)
+                            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "lam, mu, p",
+    [
+        ((3, 2), (5,), 2),
+        ((3, 3), (6,), 2),
+        ((4, 3), (6, 1), 2),
+        ((3, 3, 1), (7,), 2),
+        ((8, 3), (11,), 3),
+    ],
+)
+def test_transport_fails_outside_the_power_hypothesis(lam, mu, p):
+    rep = verify_stabilization(lam, mu, p, 1, 1)
+    assert rep.hyp_overlap and not rep.hyp_power
+    assert rep.transport_in_kernel is False
