@@ -92,8 +92,6 @@ def cmd_dim(args) -> int:
 def _verify_report(lam, mu, p, k, d) -> dict:
     start = time.perf_counter()
     rep = verify_stabilization(lam, mu, p, k, d)
-    basis = hom_dim(lam, mu, p)[1]
-    basis_plus = hom_dim(rep.lam_plus, rep.mu_plus, p)[1]
     elapsed = time.perf_counter() - start
     return {
         "command": "verify",
@@ -111,8 +109,8 @@ def _verify_report(lam, mu, p, k, d) -> dict:
         },
         "dim": rep.dim,
         "dim_plus": rep.dim_plus,
-        "basis": _basis_payload(basis),
-        "basis_plus": _basis_payload(basis_plus),
+        "basis": _basis_payload(rep.basis),
+        "basis_plus": _basis_payload(rep.basis_plus),
         "transport_in_kernel": rep.transport_in_kernel,
         "correspondence_verified": rep.correspondence_verified,
         "theorem_violated": rep.theorem_violated,
@@ -169,6 +167,7 @@ def cmd_scan(args) -> int:
         ds = [int(v) for v in args.d_values.split(",")]
     except (ValueError, NonPrimeModulusError) as exc:
         raise CliError(f"bad scan grid: {exc}") from None
+    _check_nonnegative("--max-degree", [args.max_degree])
     _check_nonnegative("--k-values", ks)
     _check_nonnegative("--d-values", ds)
     cap = config.scan_degree_cap()

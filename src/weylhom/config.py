@@ -6,22 +6,26 @@ import os
 
 
 class ConfigError(ValueError):
-    """An environment limit is set to a value that is not an integer."""
+    """An environment limit is set to a value that is not an integer, or is
+    below the least value it accepts."""
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: int, minimum: int | None = None) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def expansion_limit() -> int:
-    """Term budget for a single exterior-realization expansion."""
-    return _env_int("WEYLHOM_EXPANSION_LIMIT", 1_000_000)
+    """Term budget for a single exterior-realization expansion (at least 1)."""
+    return _env_int("WEYLHOM_EXPANSION_LIMIT", 1_000_000, minimum=1)
 
 
 def worker_count() -> int:
@@ -30,8 +34,8 @@ def worker_count() -> int:
 
 
 def scan_degree_cap() -> int:
-    """Largest degree the scan command will enumerate."""
-    return _env_int("WEYLHOM_MAX_SCAN_DEGREE", 10)
+    """Largest degree the scan command will enumerate (at least 0)."""
+    return _env_int("WEYLHOM_MAX_SCAN_DEGREE", 10, minimum=0)
 
 
 def specht_degree_bound() -> int:

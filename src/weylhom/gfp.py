@@ -87,6 +87,17 @@ def multinomial_mod(parts, p: int) -> int:
     return result
 
 
+def add_scaled(dst: dict, factor: int, src: dict, p: int) -> None:
+    """dst += factor * src over GF(p), in place, for sparse vectors stored as
+    {key: nonzero residue}; entries that cancel are removed from dst."""
+    for j, c in src.items():
+        v = (dst.get(j, 0) + factor * c) % p
+        if v:
+            dst[j] = v
+        else:
+            dst.pop(j, None)
+
+
 class MatrixGFp:
     """Sparse matrix over GF(p): rows stored as {col: nonzero residue}."""
 
@@ -166,20 +177,9 @@ class Echelon:
                     self.transforms[lead] = {k: (c * inv) % p for k, c in transform.items()}
                 return
             factor = row[lead]
-            for j, c in existing.items():
-                v = (row.get(j, 0) - factor * c) % p
-                if v:
-                    row[j] = v
-                else:
-                    row.pop(j, None)
+            add_scaled(row, -factor, existing, p)
             if transform is not None:
-                etr = self.transforms[lead]
-                for k, c in etr.items():
-                    v = (transform.get(k, 0) - factor * c) % p
-                    if v:
-                        transform[k] = v
-                    else:
-                        transform.pop(k, None)
+                add_scaled(transform, -factor, self.transforms[lead], p)
 
     def _back_substitute(self) -> None:
         p = self.p
@@ -191,20 +191,9 @@ class Echelon:
                 factor = other.get(lead, 0)
                 if not factor:
                     continue
-                for j, c in row.items():
-                    v = (other.get(j, 0) - factor * c) % p
-                    if v:
-                        other[j] = v
-                    else:
-                        other.pop(j, None)
+                add_scaled(other, -factor, row, p)
                 if self.with_transform:
-                    tr, otr = self.transforms[lead], self.transforms[other_lead]
-                    for k, c in tr.items():
-                        v = (otr.get(k, 0) - factor * c) % p
-                        if v:
-                            otr[k] = v
-                        else:
-                            otr.pop(k, None)
+                    add_scaled(self.transforms[other_lead], -factor, self.transforms[lead], p)
 
     def kernel_basis(self) -> list[list[int]]:
         """Reduced basis of the right kernel, one vector per free column, ascending."""

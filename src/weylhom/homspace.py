@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gfp import MatrixGFp, binom_mod, check_prime
-from .polyalg import dp_comult, mono_degree
+from .gfp import MatrixGFp, add_scaled, check_prime
+from .polyalg import dp_comult, dp_mult, mono_degree, tensor_weight
 from .shapes import composition, partition, stabilize
 from .tableaux import Tableau, enumerate_standard
 from .weyl import WeylCoords, get_context, relation_generators
@@ -58,31 +58,29 @@ def phi_eval_terms(tab: Tableau, factors, p: int) -> list[tuple[int, Tableau]]:
         splits_per_factor.append(dp_comult(factor, degrees))
     terms: list[tuple[int, Tableau]] = []
 
-    def rec(j, row_counts, coeff):
+    def rec(j, rows, coeff):
         if j == len(factors):
-            width = max((max(rc) for rc in row_counts if rc), default=0)
-            rows = tuple(
-                tuple(rc.get(e, 0) for e in range(1, width + 1)) for rc in row_counts
-            )
-            terms.append((coeff, Tableau(rows)))
+            width = max((row[-1][0] for row in rows if row), default=0)
+            counts = [[0] * width for _ in rows]
+            for count, row in zip(counts, rows):
+                for e, c in row:
+                    count[e - 1] = c
+            terms.append((coeff, Tableau(counts)))
             return
         for split in splits_per_factor[j]:
             c = coeff
-            new_rows = [dict(rc) for rc in row_counts]
-            for i, piece in enumerate(split):
-                for e, cexp in piece:
-                    have = new_rows[i].get(e, 0)
-                    if have:
-                        c = (c * binom_mod(have + cexp, cexp, p)) % p
-                        if not c:
-                            break
-                    new_rows[i][e] = have + cexp
-                if not c:
-                    break
-            if c:
+            new_rows = []
+            for row, piece in zip(rows, split):
+                if piece:
+                    f, row = dp_mult(row, piece, p)
+                    c = c * f % p
+                    if not c:
+                        break
+                new_rows.append(row)
+            else:
                 rec(j + 1, new_rows, c)
 
-    rec(0, [{} for _ in range(nrows)], 1)
+    rec(0, [()] * nrows, 1)
     return terms
 
 
@@ -91,13 +89,7 @@ def phi_eval(tab: Tableau, factors, p: int) -> WeylCoords:
     mu = tab.shape
     ctx = get_context(mu, p)
     expansion = ctx.straighten_terms(phi_eval_terms(tab, factors, p))
-    weight_counts: dict[int, int] = {}
-    for f in factors:
-        for e, c in f:
-            weight_counts[e] = weight_counts.get(e, 0) + c
-    width = max(weight_counts) if weight_counts else 0
-    weight = composition(weight_counts.get(e, 0) for e in range(1, width + 1))
-    return WeylCoords(partition(mu), weight, p, expansion)
+    return WeylCoords(partition(mu), composition(tensor_weight(factors)), p, expansion)
 
 
 def relation_matrix(lam, mu, p: int) -> MatrixGFp:
@@ -178,15 +170,12 @@ def _in_reduced_span(v, kernel, p: int) -> bool:
     every other basis vector is 0; a kernel vector is fixed by its free
     coordinates, so v is in the kernel exactly when v == sum v[free(b)] * b.
     """
-    acc = [0] * len(v)
+    acc: dict[int, int] = {}
     for b in kernel:
         free = max(j for j, c in enumerate(b) if c)
-        c = v[free]
-        if c:
-            for j, x in enumerate(b):
-                if x:
-                    acc[j] = (acc[j] + c * x) % p
-    return acc == list(v)
+        if v[free]:
+            add_scaled(acc, v[free], {j: x for j, x in enumerate(b) if x}, p)
+    return acc == {j: x for j, x in enumerate(v) if x}
 
 
 @dataclass(frozen=True)
@@ -210,6 +199,8 @@ class StabilizationReport:
     hyp_overlap: bool  # mu_2 <= lambda_1
     dim: int
     dim_plus: int
+    basis: tuple[HomElement, ...]
+    basis_plus: tuple[HomElement, ...]
     transport_in_kernel: bool | None
     correspondence_verified: bool | None
 
@@ -263,6 +254,8 @@ def verify_stabilization(lam, mu, p: int, k: int, d: int) -> StabilizationReport
         hyp_overlap=hyp_overlap,
         dim=dim,
         dim_plus=dim_plus,
+        basis=tuple(basis),
+        basis_plus=tuple(basis_plus),
         transport_in_kernel=transport_in_kernel,
         correspondence_verified=correspondence,
     )

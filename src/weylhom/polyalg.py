@@ -53,6 +53,30 @@ def dp_mult(m1: Monomial, m2: Monomial, p: int) -> tuple[int, Monomial]:
     return coeff, tuple(sorted(counts.items()))
 
 
+def bounded_compositions(total: int, caps) -> list[tuple[int, ...]]:
+    """All (v_1, ..., v_n) with sum `total` and 0 <= v_j <= caps[j], in
+    ascending lexicographic order; the last slot takes what is left."""
+    n = len(caps)
+    if n == 0:
+        return [()] if total == 0 else []
+    out: list[tuple[int, ...]] = []
+    comp = [0] * n
+    last = n - 1
+
+    def rec(j, left):
+        if j == last:
+            if 0 <= left <= caps[last]:
+                comp[last] = left
+                out.append(tuple(comp))
+            return
+        for v in range(min(caps[j], left) + 1):
+            comp[j] = v
+            rec(j + 1, left - v)
+
+    rec(0, total)
+    return out
+
+
 def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
     """All splittings of m into slots of the given degrees, coefficient-free.
 
@@ -66,42 +90,36 @@ def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
         raise ValueError(
             f"degree mismatch: monomial has degree {mono_degree(m)}, slots sum to {sum(degrees)}"
         )
-    k = len(degrees)
     results: list[tuple[Monomial, ...]] = []
-    slots: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    entries = list(m)
+    slots: list[list[tuple[int, int]]] = [[] for _ in degrees]
 
     def rec(idx, remaining):
-        if idx == len(entries):
+        if idx == len(m):
             results.append(tuple(tuple(s) for s in slots))
             return
-        e, c = entries[idx]
-        parts = [0] * k
-
-        def split(slot, left):
-            if slot == k - 1:
-                if left > remaining[slot]:
-                    return
-                parts[slot] = left
-                emit()
-                return
-            for v in range(0, min(left, remaining[slot]) + 1):
-                parts[slot] = v
-                split(slot + 1, left - v)
-
-        def emit():
-            for s in range(k):
-                if parts[s]:
-                    slots[s].append((e, parts[s]))
-            rec(idx + 1, tuple(r - parts[s] for s, r in enumerate(remaining)))
-            for s in range(k):
-                if parts[s]:
+        e, c = m[idx]
+        for parts in bounded_compositions(c, remaining):
+            for s, v in enumerate(parts):
+                if v:
+                    slots[s].append((e, v))
+            rec(idx + 1, tuple(r - v for r, v in zip(remaining, parts)))
+            for s, v in enumerate(parts):
+                if v:
                     slots[s].pop()
-
-        split(0, c)
 
     rec(0, degrees)
     return results
+
+
+def tensor_weight(factors) -> tuple[int, ...]:
+    """Weight of a tensor of monomials: the total exponent of each entry
+    1..max entry, summed over the factors."""
+    counts: dict[int, int] = {}
+    for f in factors:
+        for e, c in f:
+            counts[e] = counts.get(e, 0) + c
+    width = max(counts) if counts else 0
+    return tuple(counts.get(e, 0) for e in range(1, width + 1))
 
 
 def tensor_expansion_count(shape, factors) -> int:

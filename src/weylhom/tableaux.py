@@ -14,6 +14,23 @@ from functools import lru_cache
 from .shapes import composition, partition
 
 
+def _row_fits(row, prev) -> bool:
+    """Whether count row `row` sits column-strictly under count row `prev`.
+
+    With sorted rows, column strictness says the first sum(row[:e]) cells of
+    the lower row sit under cells of the upper row with entries < e, i.e.
+    prefix_row(e) <= prefix_prev(e-1) for every entry threshold e.
+    """
+    running = 0
+    prev_running = 0
+    for e in range(len(row)):
+        running += row[e]
+        if running > prev_running:
+            return False
+        prev_running += prev[e]
+    return True
+
+
 class Tableau:
     __slots__ = ("counts", "_hash")
 
@@ -78,25 +95,9 @@ class Tableau:
         return " | ".join(out)
 
     def is_standard(self) -> bool:
-        """Column-strict check: each row's entry-prefix counts fit strictly above.
-
-        With sorted rows, column strictness says the first sum(row_i[:e])
-        cells of row i sit under cells of row i-1 with entries < e, i.e.
-        prefix_i(e) <= prefix_{i-1}(e-1) for every entry threshold e.
-        """
-        prev = None
-        for row in self.counts:
-            if prev is not None:
-                running = 0
-                prev_running = 0
-                for e in range(len(row)):
-                    running += row[e]
-                    # prefix of previous row up to entry e-1 (0-based: e)
-                    if running > prev_running:
-                        return False
-                    prev_running += prev[e]
-            prev = row
-        return True
+        """Column-strict check: each row's entry-prefix counts fit strictly above."""
+        rows = self.counts
+        return all(_row_fits(row, prev) for prev, row in zip(rows, rows[1:]))
 
     def plus(self, m: int) -> "Tableau":
         """Insert m extra 1s at the front of the top row."""
@@ -207,22 +208,12 @@ def enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
     results: list[Tableau] = []
     rows: list[tuple[int, ...]] = []
 
-    def prefix_fits(row, prev):
-        running = 0
-        prev_running = 0
-        for e in range(len(row)):
-            running += row[e]
-            if running > prev_running:
-                return False
-            prev_running += prev[e]
-        return True
-
     def rec(i, remaining):
         if i == len(mu) - 1:
             # the last row takes everything still unplaced
             if sum(remaining) != mu[i]:
                 return
-            if i > 0 and not prefix_fits(remaining, rows[-1]):
+            if i > 0 and not _row_fits(remaining, rows[-1]):
                 return
             results.append(Tableau(tuple(rows) + (remaining,)))
             return

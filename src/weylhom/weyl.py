@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import config
-from .gfp import Echelon, InconsistentSystemError, MatrixGFp, binom_mod, check_prime
-from .polyalg import ExpansionLimitError, Monomial, dprime, mono
+from .gfp import Echelon, InconsistentSystemError, MatrixGFp, add_scaled, binom_mod, check_prime
+from .polyalg import ExpansionLimitError, Monomial, bounded_compositions, dprime, mono, tensor_weight
 from .shapes import partition
 from .tableaux import Tableau, enumerate_standard
 
@@ -48,12 +48,7 @@ class RelationGenerator:
 
     @property
     def weight(self) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for f in self.factors:
-            for e, c in f:
-                counts[e] = counts.get(e, 0) + c
-        width = max(counts) if counts else 0
-        return tuple(counts.get(e, 0) for e in range(1, width + 1))
+        return tensor_weight(self.factors)
 
 
 def relation_generators(lam) -> list[RelationGenerator]:
@@ -91,25 +86,6 @@ class WeylCoords:
         return not self.coeffs
 
 
-def _bounded_compositions(total: int, caps) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    n = len(caps)
-    comp = [0] * n
-
-    def rec(j, left):
-        if j == n:
-            if left == 0:
-                out.append(tuple(comp))
-            return
-        for v in range(0, min(caps[j], left) + 1):
-            comp[j] = v
-            rec(j + 1, left - v)
-        comp[j] = 0
-
-    rec(0, total)
-    return out
-
-
 class WeylContext:
     """Straightening engine for one (shape, p), with memoized expansions."""
 
@@ -141,12 +117,7 @@ class WeylContext:
             coeff %= p
             if not coeff:
                 continue
-            for s, c in self.straighten_tableau(tab).items():
-                v = (acc.get(s, 0) + coeff * c) % p
-                if v:
-                    acc[s] = v
-                else:
-                    acc.pop(s, None)
+            add_scaled(acc, coeff, self.straighten_tableau(tab), p)
         return acc
 
     # -- straightening cases ---------------------------------------------
@@ -184,7 +155,7 @@ class WeylContext:
         sign = (-1) ** b1 % p
         terms = []
         caps = [a[j] for j in range(1, width)]
-        for comp in _bounded_compositions(b1, caps):
+        for comp in bounded_compositions(b1, caps):
             coeff = sign
             for j, i_s in enumerate(comp, start=1):
                 if i_s:

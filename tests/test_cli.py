@@ -141,21 +141,36 @@ def test_scan_rejects_negative_k_and_d(capsys):
         code, out, err = run(capsys, "scan", "--max-degree", "2", flag, "1,-1")
         assert code == 1 and out == ""
         assert err == f"error: {flag} must be nonnegative, got 1,-1\n"
+    code, out, err = run(capsys, "scan", "--max-degree", "-2")
+    assert code == 1 and out == ""
+    assert err == "error: --max-degree must be nonnegative, got -2\n"
+
+
+SCAN_2 = ["scan", "--max-degree", "2"]
+DIM_2_2 = ["dim", "-p", "2", "--lambda", "1,1,1,1", "--mu", "2,2"]
 
 
 @pytest.mark.parametrize(
-    "name, value, argv",
+    "name, value, argv, message",
     [
-        ("WEYLHOM_WORKERS", "abc", ["scan", "--max-degree", "2"]),
-        ("WEYLHOM_MAX_SCAN_DEGREE", "abc", ["scan", "--max-degree", "2"]),
-        ("WEYLHOM_EXPANSION_LIMIT", "1", ["dim", "-p", "2", "--lambda", "1,1,1,1", "--mu", "2,2"]),
+        # ids in pytest's default name-value-argv form, left out of the message
+        pytest.param(*case, id=f"{case[0]}-{case[1]}-argv{i}")
+        for i, case in enumerate([
+            ("WEYLHOM_WORKERS", "abc", SCAN_2, "must be an integer"),
+            ("WEYLHOM_MAX_SCAN_DEGREE", "abc", SCAN_2, "must be an integer"),
+            ("WEYLHOM_EXPANSION_LIMIT", "1", DIM_2_2, "beyond the budget"),
+            ("WEYLHOM_MAX_SCAN_DEGREE", "-3", SCAN_2, "must be at least 0"),
+            ("WEYLHOM_EXPANSION_LIMIT", "0", DIM_2_2, "must be at least 1"),
+            ("WEYLHOM_EXPANSION_LIMIT", "-1", DIM_2_2, "must be at least 1"),
+        ])
     ],
 )
-def test_bad_limits_exit_one_with_one_line(capsys, monkeypatch, name, value, argv):
+def test_bad_limits_exit_one_with_one_line(capsys, monkeypatch, name, value, argv, message):
     monkeypatch.setenv(name, value)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_worker_count_clamped_to_cpu_count(monkeypatch):
@@ -279,6 +294,8 @@ def test_exit_two_wiring(capsys, monkeypatch):
         hyp_overlap=True,
         dim=1,
         dim_plus=0,
+        basis=(),
+        basis_plus=(),
         transport_in_kernel=False,
         correspondence_verified=False,
     )

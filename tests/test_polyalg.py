@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import compositions_of
 from weylhom.polyalg import (
     ExpansionLimitError,
+    bounded_compositions,
     dp_comult,
     dp_mult,
     dprime,
@@ -54,6 +56,16 @@ def test_dp_comult_trivial_and_thin():
     assert dp_comult(mono({1: 2}), (1, 1)) == [(mono({1: 1}), mono({1: 1}))]
     with pytest.raises(ValueError):
         dp_comult(m, (1, 1))
+
+
+def test_bounded_compositions_match_brute_force_in_order():
+    # the one enumerator behind dp_comult and the two-row ones-step
+    for n in range(5):
+        for caps in itertools.product(range(4), repeat=n):
+            boxes = [range(k + 1) for k in caps]
+            for total in range(9):
+                expected = [c for c in itertools.product(*boxes) if sum(c) == total]
+                assert bounded_compositions(total, caps) == expected, (total, caps)
 
 
 def test_dp_comult_counts_match_multinomial_of_supports():
