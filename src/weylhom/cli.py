@@ -18,7 +18,7 @@ from . import config
 from .gfp import NonPrimeModulusError, check_prime
 from .homspace import hom_dim, verify_stabilization
 from .shapes import all_partitions, format_partition, parse_partition
-from .specht import DegreeBoundError, specht_hom_dim
+from .specht import specht_hom_dim
 from .tableaux import enumerate_standard
 from .weyl import StraighteningLimitError
 
@@ -216,7 +216,7 @@ def cmd_oracle(args) -> int:
     lam, mu = _parse_common(args)
     try:
         specht = specht_hom_dim(lam, mu, args.p)
-    except (DegreeBoundError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from None
     weyl = hom_dim(lam, mu, args.p)[0]
     report = {
@@ -285,6 +285,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
+        # a bad knob fails every command, not only the ones that read it
+        config.expansion_limit()
+        config.worker_count()
+        config.scan_degree_cap()
+        config.specht_degree_bound()
         return args.func(args)
     except (CliError, config.ConfigError, StraighteningLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

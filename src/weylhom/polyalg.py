@@ -10,6 +10,7 @@ comultiplication splits exponents coefficient-free.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .gfp import binom_mod
 
@@ -134,29 +135,15 @@ def tensor_expansion_count(shape, factors) -> int:
     return total
 
 
-def _sorted_sign(stack) -> tuple[int, tuple[int, ...]] | None:
-    """Sort a column ascending; None on a repeated entry, else (sign, column)."""
-    column = sorted(stack)
-    for a, b in zip(column, column[1:]):
-        if a == b:
-            return None
-    sign = 1
-    seen = list(stack)
-    for i in range(len(seen)):
-        m = min(range(i, len(seen)), key=seen.__getitem__)
-        if m != i:
-            seen[i], seen[m] = seen[m], seen[i]
-            sign = -sign
-    return sign, tuple(column)
-
-
 def dprime(shape, factors, p: int, coeff: int = 1, limit: int | None = None) -> dict[ExtMonomial, int]:
     """Exterior realization of a shape-`shape` tensor of monomials.
 
     Row i's entries are dealt into columns 1..shape[i], one per column, over
-    all distinct arrangements; each column then wedges its cells top to
-    bottom (zero on repeats, sign from sorting).  The result is a sparse
-    vector over column-strict exterior monomials mod p.
+    all distinct arrangements, cell by cell in row-major order.  Each column
+    wedges its cells top to bottom: a column stays sorted as it fills, an
+    entry it already holds is skipped (the wedge is zero), and an entry
+    inserted below k larger ones flips the sign k times.  The result is a
+    sparse vector over column-strict exterior monomials mod p.
     """
     shape = tuple(shape)
     factors = tuple(mono(f) for f in factors)
@@ -173,47 +160,36 @@ def dprime(shape, factors, p: int, coeff: int = 1, limit: int | None = None) -> 
             f"expansion of shape {shape} tensor exceeds {limit} terms"
         )
     acc: dict[ExtMonomial, int] = {}
-    ncols = shape[0] if shape else 0
-    stacks: list[list[int]] = [[] for _ in range(ncols)]
-    col_sets: list[set[int]] = [set() for _ in range(ncols)]
+    columns: list[list[int]] = [[] for _ in range(shape[0] if shape else 0)]
+    # one (entries left in the row, column) pair per cell, in row-major order
+    cells = [
+        (left, columns[j])
+        for left, width in zip(map(dict, factors), shape)
+        for j in range(width)
+    ]
 
-    def place_row(i):
-        if i == len(shape):
-            sign = 1
-            key = []
-            for stack in stacks:
-                res = _sorted_sign(stack)
-                if res is None:
-                    return
-                s, column = res
-                sign *= s
-                key.append(column)
-            k = tuple(key)
-            v = (acc.get(k, 0) + sign * coeff) % p
+    def place(n, sign):
+        if n == len(cells):
+            key = tuple(map(tuple, columns))
+            v = (acc.get(key, 0) + sign) % p
             if v:
-                acc[k] = v
+                acc[key] = v
             else:
-                acc.pop(k, None)
+                acc.pop(key, None)
             return
-        width = shape[i]
-        counts = dict(factors[i])
+        left, column = cells[n]
+        for e in left:
+            if not left[e]:
+                continue
+            pos = bisect_left(column, e)
+            larger = len(column) - pos
+            if larger and column[pos] == e:
+                continue
+            left[e] -= 1
+            column.insert(pos, e)
+            place(n + 1, -sign if larger % 2 else sign)
+            del column[pos]
+            left[e] += 1
 
-        def fill(j):
-            if j == width:
-                place_row(i + 1)
-                return
-            for e in sorted(counts):
-                if counts[e] == 0 or e in col_sets[j]:
-                    continue
-                counts[e] -= 1
-                stacks[j].append(e)
-                col_sets[j].add(e)
-                fill(j + 1)
-                col_sets[j].remove(e)
-                stacks[j].pop()
-                counts[e] += 1
-
-        fill(0)
-
-    place_row(0)
+    place(0, coeff)
     return acc

@@ -32,10 +32,6 @@ def composition(parts) -> tuple[int, ...]:
     return tuple(out)
 
 
-def degree(parts) -> int:
-    return sum(parts)
-
-
 def transpose(lam) -> tuple[int, ...]:
     """Column lengths of the diagram: transpose(lam)[j] = #{i : lam_i >= j+1}."""
     lam = partition(lam)

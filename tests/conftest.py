@@ -1,9 +1,12 @@
-"""Shared independent oracles for the test suite.
+"""Shared oracles for the test suite.
 
-These are deliberately separate implementations: brute-force filling
-enumeration for Kostka numbers, the raw exterior-realization solve for
-straightening, and exact big-integer binomials.  They never call into the
-code paths they check.
+Brute-force filling enumeration for Kostka numbers and the raw
+exterior-realization solve for straightening.  The Kostka count is
+independent of the library.  `reference_straighten` is not: it skips the
+ones-step and the peel, but it realizes tableaux with `polyalg.dprime` and
+solves with `gfp.Echelon`, the same two pieces `WeylContext._solve` uses.
+`dprime` itself is checked against a brute-force dealing that shares nothing
+with it (`test_polyalg.py::test_dprime_matches_brute_force_dealing`).
 """
 
 from __future__ import annotations

@@ -148,6 +148,7 @@ def test_scan_rejects_negative_k_and_d(capsys):
 
 SCAN_2 = ["scan", "--max-degree", "2"]
 DIM_2_2 = ["dim", "-p", "2", "--lambda", "1,1,1,1", "--mu", "2,2"]
+DIM_3 = ["dim", "-p", "3", "--lambda", "2,1", "--mu", "3"]
 
 
 @pytest.mark.parametrize(
@@ -162,6 +163,9 @@ DIM_2_2 = ["dim", "-p", "2", "--lambda", "1,1,1,1", "--mu", "2,2"]
             ("WEYLHOM_MAX_SCAN_DEGREE", "-3", SCAN_2, "must be at least 0"),
             ("WEYLHOM_EXPANSION_LIMIT", "0", DIM_2_2, "must be at least 1"),
             ("WEYLHOM_EXPANSION_LIMIT", "-1", DIM_2_2, "must be at least 1"),
+            # a dim that never reaches an exterior solve or the oracle
+            ("WEYLHOM_EXPANSION_LIMIT", "-1", DIM_3, "must be at least 1"),
+            ("WEYLHOM_SPECHT_BOUND", "abc", DIM_3, "must be an integer"),
         ])
     ],
 )
@@ -171,6 +175,30 @@ def test_bad_limits_exit_one_with_one_line(capsys, monkeypatch, name, value, arg
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_bad_knob_fails_every_command(capsys, monkeypatch):
+    # every knob is read before dispatch, whether or not the command uses it
+    commands = [
+        DIM_3,
+        ["basis", "-p", "3", "--lambda", "2,1", "--mu", "3"],
+        ["verify", "-p", "3", "--lambda", "2,1", "--mu", "3"],
+        ["oracle", "-p", "3", "--lambda", "2,1", "--mu", "3"],
+        ["scan", "--max-degree", "1"],
+    ]
+    knobs = [
+        "WEYLHOM_EXPANSION_LIMIT",
+        "WEYLHOM_WORKERS",
+        "WEYLHOM_MAX_SCAN_DEGREE",
+        "WEYLHOM_SPECHT_BOUND",
+    ]
+    for name in knobs:
+        monkeypatch.setenv(name, "zz")
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", (name, argv)
+            assert err == f"error: {name} must be an integer, got 'zz'\n", (name, argv)
+        monkeypatch.delenv(name)
 
 
 def test_worker_count_clamped_to_cpu_count(monkeypatch):

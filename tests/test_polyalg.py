@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import compositions_of
+from conftest import compositions_of, distinct_permutations
 from weylhom.polyalg import (
     ExpansionLimitError,
     bounded_compositions,
@@ -122,6 +123,45 @@ def test_dprime_examples():
     assert v == {((1, 2), (1, 2)): (-2) % p}
     # repeated entry in a height-2 column
     assert dprime((1, 1), [mono({1: 1}), mono({1: 1})], p) == {}
+
+
+def _dprime_bruteforce(shape, factors, p):
+    """Deal every distinct ordering of each row into columns 1..shape[i];
+    drop arrangements with a repeat in a column, sign each by the inversions
+    of its columns read top to bottom, and key it by the sorted columns."""
+    rows = [distinct_permutations([e for e, c in f for _ in range(c)]) for f in factors]
+    ncols = shape[0] if shape else 0
+    acc = {}
+    for arrangement in itertools.product(*rows):
+        columns = [[row[j] for row in arrangement if j < len(row)] for j in range(ncols)]
+        if any(len(set(col)) < len(col) for col in columns):
+            continue
+        inversions = sum(
+            col[a] > col[b]
+            for col in columns
+            for a in range(len(col))
+            for b in range(a + 1, len(col))
+        )
+        key = tuple(tuple(sorted(col)) for col in columns)
+        acc[key] = (acc.get(key, 0) + (-1) ** inversions) % p
+    return {k: v for k, v in acc.items() if v}
+
+
+def test_dprime_matches_brute_force_dealing():
+    from weylhom.shapes import all_partitions
+
+    rng = random.Random(4)
+    cases = [((), []), ((2, 0, 0), [mono({1: 1, 2: 1}), (), ()])]
+    for r in range(1, 7):
+        for shape in all_partitions(r):
+            for _ in range(3):
+                factors = [mono(Counter(rng.randrange(1, 5) for _ in range(w))) for w in shape]
+                cases.append((shape, factors))
+    for shape, factors in cases:
+        for p in (2, 3, 5):
+            expected = _dprime_bruteforce(shape, factors, p)
+            assert dprime(shape, factors, p) == expected, (shape, factors, p)
+    assert dprime((2, 0, 0), cases[1][1], 3) == {((1,), (2,)): 1, ((2,), (1,)): 1}
 
 
 def test_dprime_shape_validation():

@@ -311,6 +311,16 @@ def test_expansion_limit_reported(monkeypatch):
         straighten((2, 2, 2), tab, 1, 3)
 
 
+def test_solve_in_an_empty_weight_space_is_zero():
+    # no standard tableau of weight (2,) or (4,): the row index is empty and the
+    # realization vanishes (a repeat in every column), so the solve gives zero
+    for mu, counts, p in [((1, 1), ((1,), (1,)), 3), ((2, 2), ((2,), (2,)), 2)]:
+        ctx = get_context(mu, p)
+        tab = Tableau(counts)
+        assert not enumerate_standard(mu, tab.weight)
+        assert ctx._solve(tab) == {}
+
+
 def test_weylcoords_vector_follows_enumeration():
     tab = from_row_entries([[1, 2], [1, 2]])
     res = two_row_straighten(tab, 3)
