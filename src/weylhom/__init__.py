@@ -15,7 +15,6 @@ from .homspace import (
     HomElement,
     StabilizationReport,
     hom_dim,
-    phi_eval,
     phi_eval_terms,
     relation_matrix,
     stabilize_hom,

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gfp import MatrixGFp, add_scaled, check_prime
-from .polyalg import dp_comult, dp_mult, mono_degree, tensor_weight
-from .shapes import composition, partition, stabilize
+from .gfp import MatrixGFp, add_scaled, binom_mod, check_prime
+from .polyalg import bounded_compositions
+from .shapes import partition, stabilize
 from .tableaux import Tableau, enumerate_standard
-from .weyl import WeylCoords, get_context, relation_generators
+from .weyl import get_context, relation_generators
 
 
 @dataclass(frozen=True)
@@ -34,62 +34,32 @@ class HomElement:
         return [(t, c) for t, c in zip(std, self.coeffs) if c]
 
 
-def phi_eval_terms(tab: Tableau, factors, p: int) -> list[tuple[int, Tableau]]:
-    """Raw image of a tensor under phi_tab, before straightening.
+def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tableau]]:
+    """Raw image phi_tab(x_{i,t}) of a relation generator, before straightening.
 
-    Factor j is comultiplied into the column-j multiplicities of tab (piece s
-    routed to row s); the pieces landing in one row multiply in the divided
-    power algebra, which is where all binomial coefficients originate.
-    Terms whose coefficient vanishes mod p are dropped.
+    Closed form: t of tab's entries i+1 become i, s_r of them in row r with
+    s_r <= a_{r,i+1}, and the divided powers of i in row r multiply to the
+    coefficient C(a_{r,i} + s_r, s_r).  Terms are in ascending lexicographic
+    order of (s_r); those whose coefficient vanishes mod p are dropped.
     """
     check_prime(p)
-    nrows = len(tab.shape)
-    if len(factors) != tab.width:
-        raise ValueError(
-            f"tensor has {len(factors)} factors but tableau weight has {tab.width} entries"
-        )
-    splits_per_factor = []
-    for j, factor in enumerate(factors):
-        degrees = tuple(tab.counts[i][j] for i in range(nrows))
-        if mono_degree(factor) != sum(degrees):
-            raise ValueError(
-                f"factor {j + 1} has degree {mono_degree(factor)}, tableau column needs {sum(degrees)}"
-            )
-        splits_per_factor.append(dp_comult(factor, degrees))
+    if not 1 <= i < tab.width:
+        raise ValueError(f"generator index {i} outside 1..{tab.width - 1}")
+    caps = [row[i] for row in tab.counts]
+    if not 0 <= t <= sum(caps):
+        raise ValueError(f"generator x_({i},{t}) needs 0 <= t <= {sum(caps)}")
     terms: list[tuple[int, Tableau]] = []
-
-    def rec(j, rows, coeff):
-        if j == len(factors):
-            width = max((row[-1][0] for row in rows if row), default=0)
-            counts = [[0] * width for _ in rows]
-            for count, row in zip(counts, rows):
-                for e, c in row:
-                    count[e - 1] = c
+    for comp in bounded_compositions(t, caps):
+        coeff = 1
+        counts = []
+        for row, s in zip(tab.counts, comp):
+            if s:
+                coeff = coeff * binom_mod(row[i - 1] + s, s, p) % p
+                row = row[: i - 1] + (row[i - 1] + s, row[i] - s) + row[i + 1 :]
+            counts.append(row)
+        if coeff:
             terms.append((coeff, Tableau(counts)))
-            return
-        for split in splits_per_factor[j]:
-            c = coeff
-            new_rows = []
-            for row, piece in zip(rows, split):
-                if piece:
-                    f, row = dp_mult(row, piece, p)
-                    c = c * f % p
-                    if not c:
-                        break
-                new_rows.append(row)
-            else:
-                rec(j + 1, new_rows, c)
-
-    rec(0, [()] * nrows, 1)
     return terms
-
-
-def phi_eval(tab: Tableau, factors, p: int) -> WeylCoords:
-    """Standard-basis coordinates of phi_tab applied to a shape-compatible tensor."""
-    mu = tab.shape
-    ctx = get_context(mu, p)
-    expansion = ctx.straighten_terms(phi_eval_terms(tab, factors, p))
-    return WeylCoords(partition(mu), composition(tensor_weight(factors)), p, expansion)
 
 
 def relation_matrix(lam, mu, p: int) -> MatrixGFp:
@@ -107,7 +77,7 @@ def relation_matrix(lam, mu, p: int) -> MatrixGFp:
         block = [dict() for _ in target_std]
         tindex = {t: i for i, t in enumerate(target_std)}
         for col, tab in enumerate(std):
-            coords = ctx.straighten_terms(phi_eval_terms(tab, gen.factors, p))
+            coords = ctx.straighten_terms(phi_eval_terms(tab, gen.i, gen.t, p))
             for s, v in coords.items():
                 block[tindex[s]][col] = v
         rows.extend(block)

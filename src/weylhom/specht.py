@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import config
-from .gfp import Echelon, MatrixGFp, check_prime
+from .gfp import Echelon, MatrixGFp, add_scaled, check_prime
 from .homspace import hom_dim
 from .shapes import partition, transpose
 
@@ -186,20 +186,8 @@ def specht_hom_dim(nu, nu_prime, p: int, bound: int | None = None) -> int:
     for ga, gb in zip(rep_a.gens, rep_b.gens):
         for a in range(fa):
             for b in range(fb):
-                row: dict[int, int] = {}
-                for c in range(fa):
-                    v = ga[a][c]
-                    if v:
-                        row[c * fb + b] = v
-                for c in range(fb):
-                    v = gb[c][b]
-                    if v:
-                        idx = a * fb + c
-                        nv = (row.get(idx, 0) - v) % p
-                        if nv:
-                            row[idx] = nv
-                        else:
-                            row.pop(idx, None)
+                row = {c * fb + b: ga[a][c] for c in range(fa) if ga[a][c]}
+                add_scaled(row, -1, {a * fb + c: gb[c][b] for c in range(fb) if gb[c][b]}, p)
                 if row:
                     rows.append(row)
     matrix = MatrixGFp(len(rows), fa * fb, p, rows)

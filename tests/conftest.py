@@ -1,7 +1,9 @@
 """Shared oracles for the test suite.
 
-Brute-force filling enumeration for Kostka numbers and the raw
-exterior-realization solve for straightening.  The Kostka count is
+Brute-force filling enumeration for Kostka numbers, the raw
+exterior-realization solve for straightening, and the generic tensor
+evaluation of phi_T that the closed-form relation images are checked
+against.  The Kostka count is
 independent of the library.  `reference_straighten` is not: it skips the
 ones-step and the peel, but it realizes tableaux with `polyalg.dprime` and
 solves with `gfp.Echelon`, the same two pieces `WeylContext._solve` uses.
@@ -13,8 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from weylhom.gfp import Echelon, MatrixGFp
-from weylhom.polyalg import dprime, mono
+from weylhom.gfp import Echelon, MatrixGFp, check_prime
+from weylhom.polyalg import dp_comult, dp_mult, dprime, mono, mono_degree
 from weylhom.tableaux import Tableau, enumerate_standard
 
 
@@ -97,6 +99,56 @@ def reference_straighten(mu, tab: Tableau, p: int) -> dict[Tableau, int]:
         {index[k]: v for k, v in target.items()}
     )
     return {std[i]: v for i, v in enumerate(solution) if v}
+
+
+def reference_phi_terms(tab: Tableau, factors, p: int) -> list[tuple[int, Tableau]]:
+    """Raw image of a tensor under phi_tab, before straightening.
+
+    Factor j is comultiplied into the column-j multiplicities of tab (piece s
+    routed to row s); the pieces landing in one row multiply in the divided
+    power algebra, which is where all binomial coefficients originate.
+    Terms whose coefficient vanishes mod p are dropped.
+    """
+    check_prime(p)
+    nrows = len(tab.shape)
+    if len(factors) != tab.width:
+        raise ValueError(
+            f"tensor has {len(factors)} factors but tableau weight has {tab.width} entries"
+        )
+    splits_per_factor = []
+    for j, factor in enumerate(factors):
+        degrees = tuple(tab.counts[i][j] for i in range(nrows))
+        if mono_degree(factor) != sum(degrees):
+            raise ValueError(
+                f"factor {j + 1} has degree {mono_degree(factor)}, tableau column needs {sum(degrees)}"
+            )
+        splits_per_factor.append(dp_comult(factor, degrees))
+    terms: list[tuple[int, Tableau]] = []
+
+    def rec(j, rows, coeff):
+        if j == len(factors):
+            width = max((row[-1][0] for row in rows if row), default=0)
+            counts = [[0] * width for _ in rows]
+            for count, row in zip(counts, rows):
+                for e, c in row:
+                    count[e - 1] = c
+            terms.append((coeff, Tableau(counts)))
+            return
+        for split in splits_per_factor[j]:
+            c = coeff
+            new_rows = []
+            for row, piece in zip(rows, split):
+                if piece:
+                    f, row = dp_mult(row, piece, p)
+                    c = c * f % p
+                    if not c:
+                        break
+                new_rows.append(row)
+            else:
+                rec(j + 1, new_rows, c)
+
+    rec(0, [()] * nrows, 1)
+    return terms
 
 
 def compositions_of(total: int, parts: int):

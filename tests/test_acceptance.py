@@ -205,7 +205,7 @@ def test_criterion_08_relation_image_closed_forms():
                     std = enumerate_standard(mu, lam)
                     for T in std:
                         for gen in gens:
-                            got = _aggregate(phi_eval_terms(T, gen.factors, p), p)
+                            got = _aggregate(phi_eval_terms(T, gen.i, gen.t, p), p)
                             if gen.i == 1:
                                 want = _aggregate(
                                     _closed_form_first_row_terms(T, gen.t, p), p

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from conftest import reference_phi_terms
 from weylhom.gfp import binom_mod
 from weylhom.homspace import (
     HomElement,
     hom_dim,
-    phi_eval,
     phi_eval_terms,
     relation_matrix,
     stabilize_hom,
@@ -15,24 +15,20 @@ from weylhom.homspace import (
 )
 from weylhom.polyalg import mono
 from weylhom.shapes import all_partitions
-from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
+from weylhom.tableaux import Tableau, enumerate_standard
 from weylhom.weyl import get_context, relation_generators
 
 
-def lam_tensor(lam):
-    """The highest-weight tensor 1^(lam_1) (x) ... (x) n^(lam_n)."""
-    return tuple(mono({j + 1: c}) for j, c in enumerate(lam))
-
-
 def test_phi_eval_worked_two_row_example():
-    # T = 1^(a)2^(2) / 2^(2)3^(2), x = 1^(a) (x) 1^(2)2^(2) (x) 3^(2);
+    # T = 1^(a)2^(2) / 2^(2)3^(2), x = x_{1,2} = 1^(a) (x) 1^(2)2^(2) (x) 3^(2);
     # the image is C(a+2,2) [1^(a+2)/2^(2)3^(2)] + C(a+1,1) [1^(a+1)2/123^(2)]
     # + [1^(a)2^(2)/1^(2)3^(2)], coefficients from divided-power multiplication
     for a in (2, 3, 4):
         for p in (3, 5, 7):
             T = Tableau(((a, 2, 0), (0, 2, 2)))
             x = (mono({1: a}), mono({1: 2, 2: 2}), mono({3: 2}))
-            got = {tab: c for c, tab in phi_eval_terms(T, x, p)}
+            got = {tab: c for c, tab in phi_eval_terms(T, 1, 2, p)}
+            assert got == {tab: c for c, tab in reference_phi_terms(T, x, p)}
             expected = {}
             c1 = math.comb(a + 2, 2) % p
             if c1:
@@ -45,13 +41,15 @@ def test_phi_eval_worked_two_row_example():
 
 
 def test_phi_eval_highest_weight_tensor_is_unit():
+    # x_{i,0} is the highest-weight tensor 1^(lam_1) (x) ... (x) n^(lam_n)
     for r in range(1, 7):
         shapes = all_partitions(r)
         for lam in shapes:
             for mu in shapes:
                 for T in enumerate_standard(mu, lam):
-                    coords = phi_eval(T, lam_tensor(lam), 3)
-                    assert coords.coeffs == {T: 1}, (lam, mu, T.render())
+                    for i in range(1, len(lam)):
+                        for p in (2, 3, 5):
+                            assert phi_eval_terms(T, i, 0, p) == [(1, T)], (lam, mu, T.render())
 
 
 def _closed_form_first_row_terms(T, t, p):
@@ -128,8 +126,10 @@ def _aggregate(terms, p):
     return acc
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_phi_eval_matches_closed_forms(p):
+    # the production closed form against the generic tensor evaluation, as
+    # ordered lists, and against the two test-side closed-form patterns
     for r in range(2, 7):
         shapes = all_partitions(r)
         for lam in shapes:
@@ -141,7 +141,11 @@ def test_phi_eval_matches_closed_forms(p):
                     continue
                 for gen in relation_generators(lam):
                     for T in std:
-                        got = _aggregate(phi_eval_terms(T, gen.factors, p), p)
+                        terms = phi_eval_terms(T, gen.i, gen.t, p)
+                        assert terms == reference_phi_terms(T, gen.factors, p), (
+                            lam, mu, T.render(), gen.i, gen.t
+                        )
+                        got = _aggregate(terms, p)
                         if gen.i == 1:
                             want = _aggregate(_closed_form_first_row_terms(T, gen.t, p), p)
                         else:
@@ -208,7 +212,7 @@ def test_kernel_vectors_kill_every_generator():
                     if not c:
                         continue
                     for s, v in ctx.straighten_terms(
-                        phi_eval_terms(T, gen.factors, p)
+                        reference_phi_terms(T, gen.factors, p)
                     ).items():
                         nv = (acc.get(s, 0) + c * v) % p
                         if nv:
@@ -275,17 +279,17 @@ def test_verify_stabilization_small_grid():
 def test_phi_eval_weight_bookkeeping():
     T = enumerate_standard((2, 2), (1, 1, 1, 1))[0]
     gen = relation_generators((1, 1, 1, 1))[0]
-    coords = phi_eval(T, gen.factors, 3)
-    assert coords.shape == (2, 2)
-    assert coords.weight == (2, 0, 1, 1)
+    assert gen.weight == (2, 0, 1, 1)
+    terms = phi_eval_terms(T, gen.i, gen.t, 3)
+    assert terms and all(tab.shape == (2, 2) and tab.weight == gen.weight for _, tab in terms)
 
 
-def test_phi_eval_shape_validation():
-    T = from_row_entries([[1, 2], [2, 3]])  # weight (1,2,1)
-    with pytest.raises(ValueError):
-        phi_eval_terms(T, (mono({1: 1}), mono({2: 2})), 3)
-    with pytest.raises(ValueError):
-        phi_eval_terms(T, (mono({1: 2}), mono({2: 2}), mono({3: 1})), 3)
+def test_phi_eval_generator_validation():
+    T = Tableau(((1, 1, 0), (0, 1, 1)))  # 12/23, weight (1, 2, 1)
+    # i = 0, i = len(weight), t = -1, t = weight[i] + 1, p = 4
+    for i, t, p in [(0, 1, 3), (3, 1, 3), (1, -1, 3), (1, 3, 3), (1, 1, 4)]:
+        with pytest.raises(ValueError):
+            phi_eval_terms(T, i, t, p)
 
 
 def test_transport_check_matches_relation_matrix():
