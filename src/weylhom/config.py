@@ -39,5 +39,6 @@ def scan_degree_cap() -> int:
 
 
 def specht_degree_bound() -> int:
-    """Largest degree for which the symmetric-group oracle will build matrices."""
-    return _env_int("WEYLHOM_SPECHT_BOUND", 7)
+    """Largest degree for which the symmetric-group oracle will build matrices
+    (at least 0)."""
+    return _env_int("WEYLHOM_SPECHT_BOUND", 7, minimum=0)

@@ -1,9 +1,9 @@
 """Exact arithmetic over GF(p): binomials via Lucas digits, sparse matrices, kernels.
 
 Everything is integer arithmetic on residues in [0, p).  No floats, no
-probabilistic shortcuts: ranks and kernels are exact, and elimination is
-deterministic (pivot on the lowest nonzero column, rows in input order) so
-that bases are reproducible across runs.
+probabilistic shortcuts: ranks and kernels are exact.  Elimination computes
+the reduced echelon form, which depends only on the row space and not on the
+order rows are absorbed in, so bases are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -143,9 +143,12 @@ class MatrixGFp:
 class Echelon:
     """Reduced echelon form of a MatrixGFp, reusable for kernels and solves.
 
-    Rows are absorbed in input order; each claims the lowest column not yet
-    used as a pivot.  Pivot rows carry a transform (their expression in the
-    original rows) so that solving against new right-hand sides is a cheap
+    Each distinct nonzero row is absorbed once, shortest first (ties by
+    input index), and claims the lowest column not yet used as a pivot; empty
+    and repeated rows add nothing to the row space, and the reduced form does
+    not depend on the absorption order.  Pivot rows carry a transform (their
+    expression in the original rows, a kept row standing for its first
+    occurrence) so that solving against new right-hand sides is a cheap
     replay rather than a fresh elimination.
     """
 
@@ -157,8 +160,13 @@ class Echelon:
         # pivot col -> reduced row dict; transform kept alongside when asked
         self.pivot_rows: dict[int, dict[int, int]] = {}
         self.transforms: dict[int, dict[int, int]] = {}
-        for idx, row in enumerate(matrix.rows):
-            self._absorb(dict(row), {idx: 1} if with_transform else None)
+        rows = matrix.rows
+        first = {}
+        for idx, row in enumerate(rows):
+            if row:
+                first.setdefault(frozenset(row.items()), idx)
+        for idx in sorted(first.values(), key=lambda i: len(rows[i])):
+            self._absorb(dict(rows[idx]), {idx: 1} if with_transform else None)
         self._back_substitute()
 
     @property
@@ -222,7 +230,8 @@ class Echelon:
                 x[lead] = sum(transform.get(k, 0) * v for k, v in rhs.items()) % p
             else:
                 x[lead] = sum(c * rhs.get(k, 0) for k, c in transform.items()) % p
-        # pivots alone cannot see an inconsistent residual; recheck every row
+        # pivots alone cannot see an inconsistent residual, and a repeated row
+        # may carry a different right-hand side: recheck every original row
         for i, row in enumerate(self.matrix.rows):
             s = sum(c * x[j] for j, c in row.items()) % p
             if s != rhs.get(i, 0) % p:

@@ -197,14 +197,29 @@ def _admissible_rows(length, caps, prev_prefix, next_row_forced):
 @lru_cache(maxsize=None)
 def enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
     """All standard tableaux of shape mu and weight alpha, in lexicographic
-    order of the concatenated count rows.  Empty when the degrees differ in
-    dominance (no column-strict filling exists)."""
+    order of the concatenated count rows.  Empty when no column-strict
+    filling exists.
+
+    Normal form: every 1 sits in row 1, so alpha_1 > mu_1 gives no tableau,
+    and when alpha_1 > mu_2 each tableau has m = alpha_1 - mu_2 more 1s than
+    the row below needs.  Such a key gives the T -> T.plus(m) images of the
+    key (mu - m*e_1, alpha - m*e_1), which is enumerated and cached once for
+    all first-row lengths; plus keeps the order, since all tableaux share
+    the same count of 1s."""
     mu = partition(mu)
     alpha = composition(alpha)
     if sum(mu) != sum(alpha):
         raise ValueError(f"degree mismatch: shape {mu} vs weight {alpha}")
     if not mu:
         return (Tableau(()),)
+    if alpha[0] > mu[0]:
+        return ()
+    m = alpha[0] - (mu[1] if len(mu) > 1 else 0)
+    if m > 0:
+        reduced = enumerate_standard(
+            (mu[0] - m,) + mu[1:], (alpha[0] - m,) + alpha[1:]
+        )
+        return tuple(t.plus(m) for t in reduced)
     results: list[Tableau] = []
     rows: list[tuple[int, ...]] = []
 

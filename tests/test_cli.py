@@ -166,6 +166,7 @@ DIM_3 = ["dim", "-p", "3", "--lambda", "2,1", "--mu", "3"]
             # a dim that never reaches an exterior solve or the oracle
             ("WEYLHOM_EXPANSION_LIMIT", "-1", DIM_3, "must be at least 1"),
             ("WEYLHOM_SPECHT_BOUND", "abc", DIM_3, "must be an integer"),
+            ("WEYLHOM_SPECHT_BOUND", "-1", DIM_3, "must be at least 0"),
         ])
     ],
 )

@@ -164,3 +164,46 @@ def test_matrix_set_bounds_and_zero_removal():
     assert m.rows[0] == {}
     with pytest.raises(IndexError):
         m.set(2, 0, 1)
+
+
+def test_echelon_ignores_row_order_repeats_and_empty_rows():
+    # the reduced form depends only on the row space, and solve still checks
+    # every original row, repeats included
+    rng = random.Random(17)
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        nrows = rng.randrange(0, 7)
+        ncols = rng.randrange(1, 6)
+        m = MatrixGFp(nrows, ncols, p)
+        for i in range(nrows):
+            for j in range(ncols):
+                if rng.random() < 0.6:
+                    m.set(i, j, rng.randrange(p))
+        # the shuffled matrix's row k is row source[k] of m, or empty for None
+        source = list(range(nrows)) + [None] * rng.randrange(0, 3)
+        if nrows:
+            source += [rng.randrange(nrows) for _ in range(3)]
+        rng.shuffle(source)
+        shuffled = MatrixGFp(
+            len(source), ncols, p,
+            [dict(m.rows[i]) if i is not None else {} for i in source],
+        )
+        ech = Echelon(m, with_transform=True)
+        other = Echelon(shuffled, with_transform=True)
+        assert other.pivot_rows == ech.pivot_rows
+        assert other.rank == ech.rank
+        assert other.kernel_basis() == ech.kernel_basis()
+        x = [rng.randrange(p) for _ in range(ncols)]
+        b = m.mul_vec(x)
+        rhs = {i: v for i, v in enumerate(b) if v}
+        shuffled_rhs = {k: b[i] for k, i in enumerate(source) if i is not None and b[i]}
+        assert other.solve(shuffled_rhs) == ech.solve(rhs)
+        # two copies of one nonzero row asked for different values
+        copies = [k for k, i in enumerate(source) if i is not None and m.rows[i]]
+        copies = [k for k in copies if source.count(source[k]) > 1]
+        if copies:
+            k = copies[-1]
+            bad = dict(shuffled_rhs)
+            bad[k] = (bad.get(k, 0) + 1) % p
+            with pytest.raises(InconsistentSystemError):
+                other.solve(bad)

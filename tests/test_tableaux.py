@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import compositions_of, kostka_bruteforce
-from weylhom.shapes import all_partitions, dominates, weyl_dimension
+from weylhom.shapes import all_partitions, composition, dominates, weyl_dimension
 from weylhom.tableaux import (
     Tableau,
     enumerate_standard,
@@ -43,6 +44,52 @@ def test_standard_basic_cases():
     assert from_row_entries([[1, 1], [2, 2]]).is_standard()
     assert from_row_entries([[1, 2], [2, 3]]).is_standard()
     assert not from_row_entries([[1, 2], [2, 2]]).is_standard()
+
+
+def standard_bruteforce(mu, alpha):
+    """Standard count matrices of shape mu and weight alpha, sorted
+    lexicographically: every row is tried as any count vector that fits the
+    entries still unplaced, and column strictness is checked cell by cell on
+    the explicit entry lists."""
+    found = []
+
+    def row_vectors(length, caps):
+        for rest in itertools.product(*(range(min(c, length) + 1) for c in caps[1:])):
+            first = length - sum(rest)
+            if 0 <= first <= caps[0]:
+                yield (first,) + rest
+
+    def cells(row):
+        return [j + 1 for j, c in enumerate(row) for _ in range(c)]
+
+    def rec(i, remaining, rows, above):
+        if i == len(mu):
+            if not any(remaining):
+                found.append(tuple(rows))
+            return
+        for row in row_vectors(mu[i], remaining):
+            below = cells(row)
+            # rows shrink down the shape, so zip pairs each cell with the one above
+            if any(b <= a for b, a in zip(below, above)):
+                continue
+            rec(i + 1, tuple(r - a for r, a in zip(remaining, row)), rows + [row], below)
+
+    rec(0, composition(alpha), [], [])
+    return sorted(Tableau(rows) for rows in found)
+
+
+def test_enumerate_matches_ordered_bruteforce():
+    # every composition with at most 4 parts (zero-padded to 4), and each key's
+    # first-row stabilizations (mu + m*e_1, alpha + m*e_1)
+    for r in range(0, 8):
+        for mu in all_partitions(r):
+            for alpha in compositions_of(r, 4):
+                for m in (0, 1, 9, 27):
+                    mu_m = (mu[0] + m,) + mu[1:] if mu else ((m,) if m else ())
+                    alpha_m = (alpha[0] + m,) + alpha[1:]
+                    expected = standard_bruteforce(mu_m, alpha_m)
+                    assert list(enumerate_standard(mu_m, alpha_m)) == expected, (
+                        mu_m, alpha_m)
 
 
 def test_enumerate_single_row():
@@ -134,11 +181,11 @@ def test_plus_minus_bijection_on_standard_sets():
                 for m in (1, 3):
                     mu_plus = (mu[0] + m,) + mu[1:]
                     alpha_plus = (alpha[0] + m,) + alpha[1:]
-                    std = enumerate_standard(mu, alpha)
-                    std_plus = enumerate_standard(mu_plus, alpha_plus)
+                    std = standard_bruteforce(mu, alpha)
+                    std_plus = standard_bruteforce(mu_plus, alpha_plus)
                     mapped = [t.plus(m) for t in std]
                     assert all(t.is_standard() for t in mapped)
-                    assert sorted(mapped) == sorted(std_plus)
+                    assert mapped == std_plus
                     assert [t.plus(m).minus(m) for t in std] == list(std)
 
 
