@@ -32,7 +32,7 @@ from .shapes import (
     weyl_dimension,
 )
 from .specht import oracle_compare, specht_hom_dim, specht_rep
-from .tableaux import Tableau, enumerate_standard, from_row_entries, is_class_a
+from .tableaux import Tableau, enumerate_standard, from_row_entries
 from .weyl import (
     WeylCoords,
     relation_generators,

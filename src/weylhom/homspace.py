@@ -48,6 +48,8 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     caps = [row[i] for row in tab.counts]
     if not 0 <= t <= sum(caps):
         raise ValueError(f"generator x_({i},{t}) needs 0 <= t <= {sum(caps)}")
+    # moving every entry of the last column empties it; each term drops it
+    trim = tab.width - 1 if i == tab.width - 1 and t == sum(caps) else None
     terms: list[tuple[int, Tableau]] = []
     for comp in bounded_compositions(t, caps):
         coeff = 1
@@ -56,9 +58,9 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
             if s:
                 coeff = coeff * binom_mod(row[i - 1] + s, s, p) % p
                 row = row[: i - 1] + (row[i - 1] + s, row[i] - s) + row[i + 1 :]
-            counts.append(row)
+            counts.append(row[:trim])
         if coeff:
-            terms.append((coeff, Tableau(counts)))
+            terms.append((coeff, Tableau._of(tuple(counts))))
     return terms
 
 
@@ -153,9 +155,11 @@ class StabilizationReport:
     """Outcome of one row-stabilization check.
 
     When both hypotheses hold the two dimensions must agree and the
-    transported kernel basis must again be a kernel basis; a False
+    transported kernel basis must again be a kernel basis; for odd p a False
     `correspondence_verified` in that regime signals a library bug, not a
-    mathematical possibility.
+    mathematical possibility.  The theorem is proved for odd p only, and
+    `hypotheses_hold` does not check parity: at p = 2 the check tests an
+    unproved extension.
     """
 
     p: int
@@ -185,7 +189,11 @@ class StabilizationReport:
 
 def verify_stabilization(lam, mu, p: int, k: int, d: int) -> StabilizationReport:
     """Compute both Hom dimensions, record the hypotheses, and when they hold
-    check that transport carries the kernel basis into the stabilized kernel."""
+    check that transport carries the kernel basis into the stabilized kernel.
+
+    The stabilization theorem is proved for odd p; the recorded hypotheses
+    leave out parity, so at p = 2 a verified correspondence is evidence for
+    an unproved extension rather than an instance of the theorem."""
     lam = partition(lam)
     mu = partition(mu)
     if sum(lam) != sum(mu):

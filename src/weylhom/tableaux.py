@@ -53,6 +53,16 @@ class Tableau:
         self.counts = tuple(rows)
         self._hash = hash(self.counts)
 
+    @classmethod
+    def _of(cls, counts: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """Wrap counts already in canonical form, skipping validation: a tuple
+        of int tuples of one width, last column nonzero, no empty row, and row
+        sums forming a partition.  For internal sites that build such counts."""
+        tab = object.__new__(cls)
+        tab.counts = counts
+        tab._hash = hash(counts)
+        return tab
+
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.counts)
@@ -106,21 +116,9 @@ class Tableau:
         if m == 0:
             return self
         if not self.counts:
-            return Tableau(((m,),))
+            return Tableau._of(((m,),))
         first = (self.counts[0][0] + m,) + self.counts[0][1:]
-        return Tableau((first,) + self.counts[1:])
-
-    def minus(self, m: int) -> "Tableau":
-        """Delete m 1s from the top row; inverse of plus."""
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        if m == 0:
-            return self
-        if not self.counts or self.counts[0][0] < m:
-            have = self.counts[0][0] if self.counts else 0
-            raise ValueError(f"cannot delete {m} ones: top row has {have}")
-        first = (self.counts[0][0] - m,) + self.counts[0][1:]
-        return Tableau((first,) + self.counts[1:])
+        return Tableau._of((first,) + self.counts[1:])
 
 
 def from_row_entries(rows) -> Tableau:
@@ -135,20 +133,6 @@ def from_row_entries(rows) -> Tableau:
             vec[e - 1] += 1
         counts.append(vec)
     return Tableau(counts)
-
-
-def is_class_a(tab: Tableau, lam) -> bool:
-    """Membership in the first-row-loaded class: row 1 starts with lam_1 + t ones
-    (0 <= t <= lam_2) and no entry 1 appears below row 1."""
-    lam = partition(lam)
-    if not tab.counts:
-        return not lam
-    lam1 = lam[0] if lam else 0
-    lam2 = lam[1] if len(lam) > 1 else 0
-    ones_top = tab.counts[0][0]
-    if not (lam1 <= ones_top <= lam1 + lam2):
-        return False
-    return all(row[0] == 0 for row in tab.counts[1:])
 
 
 def _admissible_rows(length, caps, prev_prefix, next_row_forced):
@@ -230,7 +214,8 @@ def enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
                 return
             if i > 0 and not _row_fits(remaining, rows[-1]):
                 return
-            results.append(Tableau(tuple(rows) + (remaining,)))
+            # rows of width len(alpha) (alpha ends nonzero) with row sums mu
+            results.append(Tableau._of(tuple(rows) + (remaining,)))
             return
         prev_prefix = None
         if i > 0:

@@ -164,7 +164,8 @@ class WeylContext:
                 continue
             new_a = (a[0] + b1,) + tuple(a[j] - comp[j - 1] for j in range(1, width))
             new_b = (0,) + tuple(b[j] + comp[j - 1] for j in range(1, width))
-            terms.append((coeff, Tableau((new_a, new_b) + tab.counts[2:])))
+            # row sums and column totals are unchanged, so the counts stay canonical
+            terms.append((coeff, Tableau._of((new_a, new_b) + tab.counts[2:])))
         return terms
 
     def _peel(self, tab: Tableau) -> dict[Tableau, int]:

@@ -17,6 +17,7 @@ import pytest
 
 from weylhom.gfp import Echelon, MatrixGFp, check_prime
 from weylhom.polyalg import dp_comult, dp_mult, dprime, mono, mono_degree
+from weylhom.shapes import partition
 from weylhom.tableaux import Tableau, enumerate_standard
 
 
@@ -149,6 +150,32 @@ def reference_phi_terms(tab: Tableau, factors, p: int) -> list[tuple[int, Tablea
 
     rec(0, [()] * nrows, 1)
     return terms
+
+
+def assert_canonical(tab: Tableau) -> None:
+    """tab is what the validating constructor makes of its own counts: the
+    same counts, hash and equality, with rows stored as tuples of ints."""
+    ref = Tableau(tab.counts)
+    assert tab.counts == ref.counts, tab.counts
+    assert hash(tab) == hash(ref) and tab == ref, tab.counts
+    assert type(tab.counts) is tuple, tab.counts
+    assert all(
+        type(row) is tuple and all(type(c) is int for c in row) for row in tab.counts
+    ), tab.counts
+
+
+def is_class_a(tab: Tableau, lam) -> bool:
+    """Membership in the first-row-loaded class: row 1 starts with lam_1 + t ones
+    (0 <= t <= lam_2) and no entry 1 appears below row 1."""
+    lam = partition(lam)
+    if not tab.counts:
+        return not lam
+    lam1 = lam[0] if lam else 0
+    lam2 = lam[1] if len(lam) > 1 else 0
+    ones_top = tab.counts[0][0]
+    if not (lam1 <= ones_top <= lam1 + lam2):
+        return False
+    return all(row[0] == 0 for row in tab.counts[1:])
 
 
 def compositions_of(total: int, parts: int):

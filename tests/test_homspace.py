@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import reference_phi_terms
+from conftest import assert_canonical, reference_phi_terms
 from weylhom.gfp import binom_mod
 from weylhom.homspace import (
     HomElement,
@@ -15,7 +15,7 @@ from weylhom.homspace import (
 )
 from weylhom.polyalg import mono
 from weylhom.shapes import all_partitions
-from weylhom.tableaux import Tableau, enumerate_standard
+from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
 from weylhom.weyl import get_context, relation_generators
 
 
@@ -145,6 +145,9 @@ def test_phi_eval_matches_closed_forms(p):
                         assert terms == reference_phi_terms(T, gen.factors, p), (
                             lam, mu, T.render(), gen.i, gen.t
                         )
+                        # built without validation, so check each against it
+                        for _, tab in terms:
+                            assert_canonical(tab)
                         got = _aggregate(terms, p)
                         if gen.i == 1:
                             want = _aggregate(_closed_form_first_row_terms(T, gen.t, p), p)
@@ -153,6 +156,14 @@ def test_phi_eval_matches_closed_forms(p):
                                 _closed_form_deeper_row_terms(T, gen.i, gen.t, p), p
                             )
                         assert got == want, (lam, mu, T.render(), gen.i, gen.t)
+
+
+def test_phi_eval_trims_emptied_last_column():
+    # x_{1,1} on 1^(2)2 moves the only 2, which leaves the last column empty
+    terms = phi_eval_terms(from_row_entries([[1, 1, 2]]), 1, 1, 5)
+    assert terms == [(3, Tableau(((3,),)))]
+    assert terms[0][1].width == 1
+    assert_canonical(terms[0][1])
 
 
 def test_relation_matrix_examples():

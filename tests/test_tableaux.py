@@ -3,14 +3,22 @@ import random
 
 import pytest
 
-from conftest import compositions_of, kostka_bruteforce
+from conftest import assert_canonical, compositions_of, is_class_a, kostka_bruteforce
 from weylhom.shapes import all_partitions, composition, dominates, weyl_dimension
-from weylhom.tableaux import (
-    Tableau,
-    enumerate_standard,
-    from_row_entries,
-    is_class_a,
-)
+from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
+
+
+def minus(tab: Tableau, m: int) -> Tableau:
+    """Delete m 1s from the top row; inverse of Tableau.plus."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m == 0:
+        return tab
+    if not tab.counts or tab.counts[0][0] < m:
+        have = tab.counts[0][0] if tab.counts else 0
+        raise ValueError(f"cannot delete {m} ones: top row has {have}")
+    first = (tab.counts[0][0] - m,) + tab.counts[0][1:]
+    return Tableau((first,) + tab.counts[1:])
 
 
 def test_counts_canonicalization():
@@ -88,8 +96,11 @@ def test_enumerate_matches_ordered_bruteforce():
                     mu_m = (mu[0] + m,) + mu[1:] if mu else ((m,) if m else ())
                     alpha_m = (alpha[0] + m,) + alpha[1:]
                     expected = standard_bruteforce(mu_m, alpha_m)
-                    assert list(enumerate_standard(mu_m, alpha_m)) == expected, (
-                        mu_m, alpha_m)
+                    got = enumerate_standard(mu_m, alpha_m)
+                    assert list(got) == expected, (mu_m, alpha_m)
+                    # built without validation, so check each against it
+                    for t in got:
+                        assert_canonical(t)
 
 
 def test_enumerate_single_row():
@@ -161,12 +172,15 @@ def test_plus_minus_examples():
     t = from_row_entries([[1] * 8 + [2] * 3])
     assert t.plus(3).render() == "1^(11)2^(3)"
     assert t.plus(0) is t
-    assert t.plus(3).minus(3) == t
+    assert minus(t.plus(3), 3) == t
     x = from_row_entries([[1, 1, 2, 2], [2, 2, 3, 3]])
     assert x.plus(9).counts[0] == (11, 2, 0)
     assert x.plus(9).counts[1] == x.counts[1]
+    assert_canonical(x.plus(9))
+    assert Tableau(()).plus(9) == Tableau(((9,),))
+    assert_canonical(Tableau(()).plus(9))
     with pytest.raises(ValueError):
-        from_row_entries([[1, 1, 2]]).minus(3)
+        minus(from_row_entries([[1, 1, 2]]), 3)
 
 
 def test_plus_minus_bijection_on_standard_sets():
@@ -184,9 +198,11 @@ def test_plus_minus_bijection_on_standard_sets():
                     std = standard_bruteforce(mu, alpha)
                     std_plus = standard_bruteforce(mu_plus, alpha_plus)
                     mapped = [t.plus(m) for t in std]
+                    for t in mapped:
+                        assert_canonical(t)
                     assert all(t.is_standard() for t in mapped)
                     assert mapped == std_plus
-                    assert [t.plus(m).minus(m) for t in std] == list(std)
+                    assert [minus(t.plus(m), m) for t in std] == list(std)
 
 
 def test_class_a_recognizer():

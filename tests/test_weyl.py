@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from conftest import compositions_of, reference_straighten
+from conftest import assert_canonical, compositions_of, is_class_a, reference_straighten
 from weylhom.polyalg import mono
 from weylhom.shapes import all_partitions
-from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries, is_class_a
+from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
+from weylhom.homspace import relation_matrix
 from weylhom.weyl import (
     StraighteningLimitError,
+    WeylContext,
     WeylCoords,
     get_context,
     relation_generators,
@@ -289,6 +291,31 @@ def test_defining_relations_straighten_to_zero(p):
                 assert mono_degree(w1) == mu[i]
                 terms.append((coeff, Tableau(tuple(rows))))
             assert ctx.straighten_terms(terms) == {}, (mu, i, t, w, z_counts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ones_step_terms_are_canonical(monkeypatch, p):
+    # the ones-step builds its terms without validation; check every term it
+    # produces while straightening the relation images of degree <= 6
+    ones_step = WeylContext._ones_step
+    seen = 0
+
+    def checked(self, tab):
+        nonlocal seen
+        terms = ones_step(self, tab)
+        for _, term in terms:
+            assert_canonical(term)
+        seen += len(terms)
+        return terms
+
+    monkeypatch.setattr(WeylContext, "_ones_step", checked)
+    for r in range(2, 7):
+        shapes = all_partitions(r)
+        for lam in shapes:
+            for mu in shapes:
+                if enumerate_standard(mu, lam):
+                    relation_matrix(lam, mu, p)
+    assert seen
 
 
 def test_stabilization_chain_on_dim_two_family():
