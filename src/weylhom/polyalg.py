@@ -112,17 +112,6 @@ def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
     return results
 
 
-def tensor_weight(factors) -> tuple[int, ...]:
-    """Weight of a tensor of monomials: the total exponent of each entry
-    1..max entry, summed over the factors."""
-    counts: dict[int, int] = {}
-    for f in factors:
-        for e, c in f:
-            counts[e] = counts.get(e, 0) + c
-    width = max(counts) if counts else 0
-    return tuple(counts.get(e, 0) for e in range(1, width + 1))
-
-
 def tensor_expansion_count(shape, factors) -> int:
     """Number of raw terms the exterior expansion of the tensor would touch:
     the product over rows of multinomial(mu_i; entry counts)."""
@@ -135,7 +124,7 @@ def tensor_expansion_count(shape, factors) -> int:
     return total
 
 
-def dprime(shape, factors, p: int, coeff: int = 1, limit: int | None = None) -> dict[ExtMonomial, int]:
+def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial, int]:
     """Exterior realization of a shape-`shape` tensor of monomials.
 
     Row i's entries are dealt into columns 1..shape[i], one per column, over
@@ -152,9 +141,6 @@ def dprime(shape, factors, p: int, coeff: int = 1, limit: int | None = None) -> 
     for mu_i, f in zip(shape, factors):
         if mono_degree(f) != mu_i:
             raise ValueError(f"factor {f} does not have degree {mu_i}")
-    coeff %= p
-    if not coeff:
-        return {}
     if limit is not None and tensor_expansion_count(shape, factors) > limit:
         raise ExpansionLimitError(
             f"expansion of shape {shape} tensor exceeds {limit} terms"
@@ -191,5 +177,5 @@ def dprime(shape, factors, p: int, coeff: int = 1, limit: int | None = None) -> 
             del column[pos]
             left[e] += 1
 
-    place(0, coeff)
+    place(0, 1)
     return acc

@@ -74,24 +74,22 @@ def stabilize(lam, k: int, d: int, p: int) -> tuple[int, ...]:
     return (lam[0] + m,) + lam[1:]
 
 
-def all_partitions(r: int, max_parts: int | None = None) -> list[tuple[int, ...]]:
+def all_partitions(r: int) -> list[tuple[int, ...]]:
     """All partitions of r in descending lexicographic order."""
     if r < 0:
         raise ValueError("negative degree")
     out: list[tuple[int, ...]] = []
 
-    def rec(remaining, cap, prefix, slots):
+    def rec(remaining, cap, prefix):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        if slots == 0:
-            return
         for part in range(min(cap, remaining), 0, -1):
             prefix.append(part)
-            rec(remaining - part, part, prefix, slots - 1)
+            rec(remaining - part, part, prefix)
             prefix.pop()
 
-    rec(r, r, [], r if max_parts is None else max_parts)
+    rec(r, r, [])
     return out
 
 

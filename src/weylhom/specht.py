@@ -138,13 +138,12 @@ class SpechtRep:
 
 
 @lru_cache(maxsize=None)
-def specht_rep(lam, p: int, bound: int | None = None) -> SpechtRep:
+def specht_rep(lam, p: int) -> SpechtRep:
+    """The Specht module of lam over GF(p), at any degree: the bound
+    WEYLHOM_SPECHT_BOUND is checked by specht_hom_dim, on every call."""
     lam = partition(lam)
     check_prime(p)
     r = sum(lam)
-    limit = config.specht_degree_bound() if bound is None else bound
-    if r > limit:
-        raise DegreeBoundError(f"degree {r} exceeds oracle bound {limit}")
     syts = standard_young_tableaux(lam)
     f = len(syts)
     tabloids = _tabloids(lam)
@@ -168,19 +167,24 @@ def specht_rep(lam, p: int, bound: int | None = None) -> SpechtRep:
     return SpechtRep(lam, p, f, tuple(gens))
 
 
-def specht_hom_dim(nu, nu_prime, p: int, bound: int | None = None) -> int:
+def specht_hom_dim(nu, nu_prime, p: int) -> int:
     """dim of module maps from the nu_prime Specht module to the nu one:
     solutions X of A_g X = X B_g over the adjacent transpositions, with A the
-    nu action and B the nu_prime action."""
+    nu action and B the nu_prime action.  DegreeBoundError above degree
+    WEYLHOM_SPECHT_BOUND."""
     nu = partition(nu)
     nu_prime = partition(nu_prime)
     check_prime(p)
     if p == 2:
         raise ValueError("the Specht-side dictionary needs p > 2")
-    if sum(nu) != sum(nu_prime):
+    r = sum(nu)
+    if r != sum(nu_prime):
         raise ValueError(f"degree mismatch: {nu} vs {nu_prime}")
-    rep_a = specht_rep(nu, p, bound)
-    rep_b = specht_rep(nu_prime, p, bound)
+    limit = config.specht_degree_bound()
+    if r > limit:
+        raise DegreeBoundError(f"degree {r} exceeds oracle bound {limit}")
+    rep_a = specht_rep(nu, p)
+    rep_b = specht_rep(nu_prime, p)
     fa, fb = rep_a.dim, rep_b.dim
     rows: list[dict[int, int]] = []
     for ga, gb in zip(rep_a.gens, rep_b.gens):
@@ -200,10 +204,10 @@ def specht_hom_dim(nu, nu_prime, p: int, bound: int | None = None) -> int:
 # lam one, i.e. specht_hom_dim(lam, mu, p).
 
 
-def oracle_compare(lam, mu, p: int, bound: int | None = None) -> bool:
+def oracle_compare(lam, mu, p: int) -> bool:
     """True iff the Weyl-side dimension matches the symmetric-group side."""
     weyl = hom_dim(lam, mu, p)[0]
-    specht = specht_hom_dim(lam, mu, p, bound)
+    specht = specht_hom_dim(lam, mu, p)
     return weyl == specht
 
 

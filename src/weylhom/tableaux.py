@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .polyalg import bounded_compositions
 from .shapes import composition, partition
 
 
@@ -135,63 +136,32 @@ def from_row_entries(rows) -> Tableau:
     return Tableau(counts)
 
 
-def _admissible_rows(length, caps, prev_prefix, next_row_forced):
-    """Count vectors (a_1..a_n) with sum=length, a_j <= caps[j], and
-    prefix(e) <= prev_prefix[e-1], in ascending lexicographic order.
-
-    When the row below is the final one it receives exactly caps - row, so
-    its column-strictness pins prefix(row, e-1) >= prefix(caps - row, e);
-    checking that during the scan prunes the large-first-row shapes from
-    exponential to near-output-sensitive.
-    """
-    n = len(caps)
-    suffix_cap = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix_cap[j] = suffix_cap[j + 1] + caps[j]
-    out = []
-    row = [0] * n
-
-    def rec(j, remaining, running):
-        if j == n:
-            if remaining == 0:
-                out.append(tuple(row))
-            return
-        if remaining > suffix_cap[j]:
-            return
-        hi = min(caps[j], remaining)
-        if prev_prefix is not None:
-            allowed = (prev_prefix[j - 1] if j >= 1 else 0) - running
-            hi = min(hi, allowed)
-        lo = 0
-        if next_row_forced:
-            # the final row receives caps - row; its prefix through entry j+1
-            # must sit under ours through entry j:
-            # (capsum_j - running - a) <= running, so a >= capsum_j - 2*running
-            capsum_j = suffix_cap[0] - suffix_cap[j + 1]
-            lo = max(0, capsum_j - 2 * running)
-        for a in range(lo, hi + 1):
-            row[j] = a
-            rec(j + 1, remaining - a, running + a)
-        row[j] = 0
-
-    rec(0, length, 0)
-    return out
-
-
-@lru_cache(maxsize=None)
 def enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
     """All standard tableaux of shape mu and weight alpha, in lexicographic
     order of the concatenated count rows.  Empty when no column-strict
-    filling exists.
+    filling exists.  Shape and weight are canonicalized before the cache
+    (`cache_info`, `cache_clear`) is consulted, so any spelling of a key
+    shares one entry."""
+    return _enumerate_standard(partition(mu), composition(alpha))
+
+
+@lru_cache(maxsize=None)
+def _enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
+    """enumerate_standard on a canonical key.
 
     Normal form: every 1 sits in row 1, so alpha_1 > mu_1 gives no tableau,
     and when alpha_1 > mu_2 each tableau has m = alpha_1 - mu_2 more 1s than
     the row below needs.  Such a key gives the T -> T.plus(m) images of the
     key (mu - m*e_1, alpha - m*e_1), which is enumerated and cached once for
     all first-row lengths; plus keeps the order, since all tableaux share
-    the same count of 1s."""
-    mu = partition(mu)
-    alpha = composition(alpha)
+    the same count of 1s.
+
+    Otherwise a standard tableau is a chain of horizontal strips: the
+    entries e fill a strip of alpha_e cells on top of the shape `filled`
+    that the entries below e occupy, with at most
+    min(mu_i, filled_{i-1}) - filled_i of them in row i, so that each sits
+    under a smaller entry.  What can follow depends only on (e, filled),
+    which is memoized for the call."""
     if sum(mu) != sum(alpha):
         raise ValueError(f"degree mismatch: shape {mu} vs weight {alpha}")
     if not mu:
@@ -204,35 +174,32 @@ def enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
             (mu[0] - m,) + mu[1:], (alpha[0] - m,) + alpha[1:]
         )
         return tuple(t.plus(m) for t in reduced)
-    results: list[Tableau] = []
-    rows: list[tuple[int, ...]] = []
+    memo: dict[tuple[int, tuple[int, ...]], list] = {}
 
-    def rec(i, remaining):
-        if i == len(mu) - 1:
-            # the last row takes everything still unplaced
-            if sum(remaining) != mu[i]:
-                return
-            if i > 0 and not _row_fits(remaining, rows[-1]):
-                return
-            # rows of width len(alpha) (alpha ends nonzero) with row sums mu
-            results.append(Tableau._of(tuple(rows) + (remaining,)))
-            return
-        prev_prefix = None
-        if i > 0:
-            prev_prefix = []
-            running = 0
-            for v in rows[-1]:
-                running += v
-                prev_prefix.append(running)
-        for row in _admissible_rows(
-            mu[i], remaining, prev_prefix, i == len(mu) - 2
-        ):
-            rows.append(row)
-            rec(i + 1, tuple(r - a for r, a in zip(remaining, row)))
-            rows.pop()
+    def strips(e, filled):
+        """Every sequence of strips for entries e+1.. that completes filled to mu."""
+        if e == len(alpha):
+            # alpha and mu have one degree, so filled is mu here
+            return [()]
+        key = (e, filled)
+        out = memo.get(key)
+        if out is None:
+            above = (mu[0],) + filled[:-1]
+            caps = [min(m_i, a) - f for m_i, a, f in zip(mu, above, filled)]
+            out = memo[key] = [
+                (strip,) + rest
+                for strip in bounded_compositions(alpha[e], caps)
+                for rest in strips(e + 1, tuple(f + v for f, v in zip(filled, strip)))
+            ]
+        return out
 
-    rec(0, alpha)
-    return tuple(results)
+    # strip e is column e of the counts; rows of width len(alpha) with sums mu
+    rows = sorted(tuple(zip(*chain)) for chain in strips(0, (0,) * len(mu)))
+    return tuple(map(Tableau._of, rows))
+
+
+enumerate_standard.cache_info = _enumerate_standard.cache_info
+enumerate_standard.cache_clear = _enumerate_standard.cache_clear
 
 
 def clear_caches() -> None:

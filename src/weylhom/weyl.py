@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from . import config
 from .gfp import Echelon, InconsistentSystemError, MatrixGFp, add_scaled, binom_mod, check_prime
-from .polyalg import ExpansionLimitError, Monomial, bounded_compositions, dprime, mono, tensor_weight
-from .shapes import partition
+from .polyalg import ExpansionLimitError, bounded_compositions, dprime, mono
+from .shapes import composition, partition
 from .tableaux import Tableau, enumerate_standard
 
 
@@ -39,33 +39,29 @@ class StraighteningLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class RelationGenerator:
-    """Cyclic generator of the (i, t) relation summand: the shape-lambda tensor
-    whose factor i is i^(lam_i) and factor i+1 is i^(t)(i+1)^(lam_{i+1}-t)."""
+    """Cyclic generator x_{i,t} of the (i, t) relation summand of Delta(lam):
+    the shape-lam tensor whose factor i+1 is i^(t)(i+1)^(lam_{i+1}-t) and
+    whose other factors j are j^(lam_j)."""
 
+    lam: tuple[int, ...]
     i: int
     t: int
-    factors: tuple[Monomial, ...]
 
     @property
     def weight(self) -> tuple[int, ...]:
-        return tensor_weight(self.factors)
+        """lam with t moved from entry i+1 to entry i."""
+        lam, i, t = self.lam, self.i, self.t
+        return composition(lam[: i - 1] + (lam[i - 1] + t, lam[i] - t) + lam[i + 1 :])
 
 
 def relation_generators(lam) -> list[RelationGenerator]:
     """All x_{i,t} for i = 1..len(lam)-1 and t = 1..lam_{i+1}, in (i, t) order."""
     lam = partition(lam)
-    n = len(lam)
-    out = []
-    for i in range(1, n):
-        for t in range(1, lam[i] + 1):
-            factors = []
-            for j in range(1, n + 1):
-                if j == i + 1:
-                    factors.append(mono({i: t, i + 1: lam[i] - t}))
-                else:
-                    factors.append(mono({j: lam[j - 1]}))
-            out.append(RelationGenerator(i, t, tuple(factors)))
-    return out
+    return [
+        RelationGenerator(lam, i, t)
+        for i in range(1, len(lam))
+        for t in range(1, lam[i] + 1)
+    ]
 
 
 @dataclass

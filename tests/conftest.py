@@ -2,8 +2,8 @@
 
 Brute-force filling enumeration for Kostka numbers, the raw
 exterior-realization solve for straightening, and the generic tensor
-evaluation of phi_T that the closed-form relation images are checked
-against.  The Kostka count is
+evaluation of phi_T (on the tensor a relation generator stands for) that
+the closed-form relation images are checked against.  The Kostka count is
 independent of the library.  `reference_straighten` is not: it skips the
 ones-step and the peel, but it realizes tableaux with `polyalg.dprime` and
 solves with `gfp.Echelon`, the same two pieces `WeylContext._solve` uses.
@@ -100,6 +100,17 @@ def reference_straighten(mu, tab: Tableau, p: int) -> dict[Tableau, int]:
         {index[k]: v for k, v in target.items()}
     )
     return {std[i]: v for i, v in enumerate(solution) if v}
+
+
+def generator_tensor(gen) -> tuple:
+    """The shape-lam tensor of monomials that the relation generator
+    x_{i,t} stands for: factor i+1 is i^(t)(i+1)^(lam_{i+1}-t), and every
+    other factor j is j^(lam_j)."""
+    lam, i, t = gen.lam, gen.i, gen.t
+    return tuple(
+        mono({i: t, i + 1: lam[i] - t}) if j == i + 1 else mono({j: lam[j - 1]})
+        for j in range(1, len(lam) + 1)
+    )
 
 
 def reference_phi_terms(tab: Tableau, factors, p: int) -> list[tuple[int, Tableau]]:

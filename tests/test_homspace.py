@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import assert_canonical, reference_phi_terms
+from conftest import assert_canonical, generator_tensor, reference_phi_terms
 from weylhom.gfp import binom_mod
 from weylhom.homspace import (
     HomElement,
@@ -142,7 +142,7 @@ def test_phi_eval_matches_closed_forms(p):
                 for gen in relation_generators(lam):
                     for T in std:
                         terms = phi_eval_terms(T, gen.i, gen.t, p)
-                        assert terms == reference_phi_terms(T, gen.factors, p), (
+                        assert terms == reference_phi_terms(T, generator_tensor(gen), p), (
                             lam, mu, T.render(), gen.i, gen.t
                         )
                         # built without validation, so check each against it
@@ -223,7 +223,7 @@ def test_kernel_vectors_kill_every_generator():
                     if not c:
                         continue
                     for s, v in ctx.straighten_terms(
-                        reference_phi_terms(T, gen.factors, p)
+                        reference_phi_terms(T, generator_tensor(gen), p)
                     ).items():
                         nv = (acc.get(s, 0) + c * v) % p
                         if nv:

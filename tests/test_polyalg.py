@@ -186,13 +186,15 @@ def test_dprime_standard_classes_are_nonzero():
                     assert dprime(mu, factors, 3), t.render()
 
 
-def test_dprime_deterministic_and_linear_in_coeff():
+def test_dprime_deterministic_and_reduces_mod_p():
     factors = [mono({1: 1, 2: 2}), mono({2: 1, 3: 1})]
     a = dprime((3, 2), factors, 7)
     b = dprime((3, 2), factors, 7)
     assert a == b
-    doubled = dprime((3, 2), factors, 7, coeff=2)
-    assert doubled == {k: (2 * v) % 7 for k, v in a.items()}
+    # the coefficients are integers reduced mod p, so a larger prime sees them
+    # exactly and reduces to the p = 7 vector
+    wide = dprime((3, 2), factors, 101)
+    assert a == {k: v % 7 for k, v in wide.items() if v % 7}
 
 
 def test_expansion_count_and_limit():

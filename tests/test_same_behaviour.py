@@ -1,18 +1,23 @@
 """The same-behaviour gate, pinned: digests of outputs that a refactor must
-not change.  Both digests were recorded before the one-pass exterior
-realization replaced the sort-and-sign pass, and both reach exterior solves.
-A change that alters either output on purpose must say why and re-record."""
+not change.  The scan and Hom-basis digests were recorded before the
+one-pass exterior realization replaced the sort-and-sign pass, and both
+reach exterior solves.  The enumeration digest was recorded before the
+horizontal-strip enumerator replaced the row-by-row one.  A change that
+alters any of these outputs on purpose must say why and re-record."""
 
 import hashlib
 
 import pytest
 
 import weylhom.cli as cli
+from conftest import compositions_of
 from weylhom.homspace import hom_dim
-from weylhom.shapes import all_partitions
+from weylhom.shapes import all_partitions, composition
+from weylhom.tableaux import enumerate_standard
 
 SCAN_DIGEST = "01ec56f0a00e6a402b8acecf881320d9c41c422b11949c205fba1837163b8745"
 HOM_DEG7_P2_DIGEST = "67e66951753988c68b0e4396b901a8fc7fa9e39b8f468df4f46937f88195a59f"
+ENUMERATE_DIGEST = "81c50d554ebcee6595fb1e286b7ca80b88f882d69cca0f7a65ba1fea9933fa17"
 
 
 @pytest.fixture(autouse=True)
@@ -41,3 +46,19 @@ def test_hom_bases_degree_7_p2_are_unchanged():
             basis = hom_dim(lam, mu, 2)[1]
             digest.update(repr((lam, mu, [h.coeffs for h in basis])).encode())
     assert digest.hexdigest() == HOM_DEG7_P2_DIGEST
+
+
+def test_enumerated_tableaux_are_unchanged():
+    # ordered count matrices for every shape of degree <= 8 against every
+    # weight of at most 5 parts, and each key's first-row stabilizations by
+    # m in {0, 1, 9, 27}: 78,092 calls, 69,458 distinct keys
+    digest = hashlib.sha256()
+    for r in range(9):
+        for mu in all_partitions(r):
+            for alpha in compositions_of(r, 5):
+                for m in (0, 1, 9, 27):
+                    mu_m = (mu[0] + m,) + mu[1:] if mu else ((m,) if m else ())
+                    alpha_m = composition((alpha[0] + m,) + alpha[1:])
+                    std = enumerate_standard(mu_m, alpha_m)
+                    digest.update(repr((mu_m, alpha_m, [t.counts for t in std])).encode())
+    assert digest.hexdigest() == ENUMERATE_DIGEST

@@ -99,14 +99,16 @@ def test_orientation_on_low_degree_hook_pairs():
     assert oracle_compare((4, 1, 1, 1), (5, 2), 3)
 
 
-def test_oracle_reaches_one_row_pairs_past_default_bound():
+def test_oracle_reaches_one_row_pairs_past_default_bound(monkeypatch):
     # with mu a single row both Specht modules stay small even at degree 14,
-    # so the two one-row-target hook pairs are reachable with an explicit
+    # so the two one-row-target hook pairs are reachable with a raised
     # bound: dims 1 (degree 11) and 0 (degree 14)
-    assert specht_hom_dim((8, 3), (11,), 3, bound=11) == 1
-    assert oracle_compare((8, 3), (11,), 3, bound=11)
-    assert specht_hom_dim((11, 3), (14,), 3, bound=14) == 0
-    assert oracle_compare((11, 3), (14,), 3, bound=14)
+    monkeypatch.setenv("WEYLHOM_SPECHT_BOUND", "11")
+    assert specht_hom_dim((8, 3), (11,), 3) == 1
+    assert oracle_compare((8, 3), (11,), 3)
+    monkeypatch.setenv("WEYLHOM_SPECHT_BOUND", "14")
+    assert specht_hom_dim((11, 3), (14,), 3) == 0
+    assert oracle_compare((11, 3), (14,), 3)
 
 
 def test_oracle_compare_exhaustive_small():
@@ -118,15 +120,27 @@ def test_oracle_compare_exhaustive_small():
                     assert oracle_compare(lam, mu, p), (lam, mu, p)
 
 
-def test_p_two_rejected_and_degree_bound():
+def test_p_two_rejected_and_degree_bound(monkeypatch):
     with pytest.raises(ValueError):
         specht_hom_dim((2, 1), (3,), 2)
     with pytest.raises(DegreeBoundError):
-        specht_rep((8,), 3)
+        specht_hom_dim((8,), (8,), 3)
+    monkeypatch.setenv("WEYLHOM_SPECHT_BOUND", "8")
     with pytest.raises(DegreeBoundError):
-        specht_hom_dim((9,), (9,), 3, bound=8)
-    # explicit bound overrides the default
-    assert specht_rep((8,), 3, bound=8).dim == 1
+        specht_hom_dim((9,), (9,), 3)
+    # the environment bound overrides the default
+    assert specht_hom_dim((8,), (8,), 3) == 1
+    # the module itself is built at any degree; the bound guards the Hom solve
+    assert specht_rep((8,), 3).dim == 1
+
+
+def test_lowered_bound_applies_to_cached_modules(monkeypatch):
+    monkeypatch.setenv("WEYLHOM_SPECHT_BOUND", "8")
+    assert specht_hom_dim((8,), (8,), 3) == 1
+    # the degree-8 modules are cached now; the bound is still checked
+    monkeypatch.setenv("WEYLHOM_SPECHT_BOUND", "7")
+    with pytest.raises(DegreeBoundError):
+        specht_hom_dim((8,), (8,), 3)
 
 
 def test_degree_mismatch_rejected():

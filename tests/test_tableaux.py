@@ -124,6 +124,14 @@ def test_enumerate_is_lexicographic_and_deterministic():
     assert std == enumerate_standard((3, 2), (2, 2, 1))
 
 
+def test_enumerate_canonicalizes_its_cache_key():
+    assert enumerate_standard([2, 1], [1, 1, 1]) == enumerate_standard((2, 1), (1, 1, 1))
+    enumerate_standard.cache_clear()
+    enumerate_standard((2, 1, 0), (1, 1, 1, 0))
+    enumerate_standard((2, 1), (1, 1, 1))
+    assert enumerate_standard.cache_info().currsize == 1
+
+
 def test_enumerate_degree_mismatch():
     with pytest.raises(ValueError):
         enumerate_standard((3, 1), (1, 1))

@@ -1,8 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import assert_canonical, compositions_of, is_class_a, reference_straighten
+from conftest import (
+    assert_canonical,
+    compositions_of,
+    generator_tensor,
+    is_class_a,
+    reference_straighten,
+)
 from weylhom.polyalg import mono
 from weylhom.shapes import all_partitions
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
@@ -22,22 +29,37 @@ from weylhom.weyl import (
 def test_relation_generators_two_rows():
     gens = relation_generators((8, 3))
     assert [(g.i, g.t) for g in gens] == [(1, 1), (1, 2), (1, 3)]
-    assert gens[0].factors == (mono({1: 8}), mono({1: 1, 2: 2}))
-    assert gens[1].factors == (mono({1: 8}), mono({1: 2, 2: 1}))
-    assert gens[2].factors == (mono({1: 8}), mono({1: 3}))
+    assert generator_tensor(gens[0]) == (mono({1: 8}), mono({1: 1, 2: 2}))
+    assert generator_tensor(gens[1]) == (mono({1: 8}), mono({1: 2, 2: 1}))
+    assert generator_tensor(gens[2]) == (mono({1: 8}), mono({1: 3}))
     assert gens[0].weight == (9, 2)
+    assert gens[2].weight == (11,)
 
 
 def test_relation_generators_trivial_and_column():
     assert relation_generators((7,)) == []
     gens = relation_generators((1, 1, 1, 1))
     assert [(g.i, g.t) for g in gens] == [(1, 1), (2, 1), (3, 1)]
-    assert gens[1].factors == (
+    assert generator_tensor(gens[1]) == (
         mono({1: 1}),
         mono({2: 1}),
         mono({2: 1}),
         mono({4: 1}),
     )
+    assert gens[1].weight == (1, 2, 0, 1)
+
+
+def test_relation_generator_weight_is_its_tensor_weight():
+    # the closed-form weight against the entry totals of the tensor itself
+    for r in range(0, 9):
+        for lam in all_partitions(r):
+            for gen in relation_generators(lam):
+                totals = Counter()
+                for factor in generator_tensor(gen):
+                    for e, c in factor:
+                        totals[e] += c
+                width = max(totals)
+                assert gen.weight == tuple(totals[e] for e in range(1, width + 1)), gen
 
 
 def test_two_row_examples():
