@@ -1,11 +1,16 @@
 """Brute-force symmetric-group oracle: Specht modules via polytabloids.
 
 Entirely independent of the Weyl-module pipeline: modules are realized
-inside the tabloid permutation module over GF(p), adjacent transpositions
-act by permuting polytabloids, and Hom dimensions are cut out by the
-intertwiner equations for those generators.  For odd p the dimensions match
-the Weyl-side ones under the classical dictionary, which is what
-oracle_compare checks.
+inside the tabloid permutation module over GF(p), with a tabloid stored as
+its row word (w[v-1] is the row that holds v).  Each standard polytabloid
+e_t is built once.  An adjacent transposition s_i swaps w[i-1] and w[i], so
+s_i e_t is e_t with its support relabelled, and its coordinates follow
+Young's natural action (James, LNM 682, section 8): -e_t when i and i+1
+share a column of t, e_{s_i t} when they share neither row nor column, and
+an exact solve against the standard polytabloids when they share a row.
+Hom dimensions are cut out by the intertwiner equations for those
+generators.  For odd p the dimensions match the Weyl-side ones under the
+classical dictionary, which is what oracle_compare checks.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import lru_cache
 from . import config
 from .gfp import Echelon, MatrixGFp, add_scaled, check_prime
 from .homspace import hom_dim
-from .shapes import partition, transpose
+from .shapes import partition
 
 
 class DegreeBoundError(ValueError):
@@ -50,33 +55,47 @@ def standard_young_tableaux(lam) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def hook_length_count(lam) -> int:
-    """Number of standard Young tableaux by the hook length formula."""
-    lam = partition(lam)
+def _row_word(tableau) -> tuple[int, ...]:
+    """Row word of a filling with 1..r: w[v-1] is the row that holds v."""
+    word = [0] * sum(map(len, tableau))
+    for i, row in enumerate(tableau):
+        for v in row:
+            word[v - 1] = i
+    return tuple(word)
+
+
+def _columns(tableau) -> list[tuple[int, ...]]:
+    """The columns of a filling, top to bottom."""
+    width = len(tableau[0]) if tableau else 0
+    return [tuple(row[j] for row in tableau if len(row) > j) for j in range(width)]
+
+
+def _swap(word, i: int) -> tuple[int, ...]:
+    """s_i on a row word: v = i and v = i+1 trade rows."""
+    return word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :]
+
+
+def _tabloids(lam) -> list[tuple[int, ...]]:
+    """All tabloids of shape lam, as row words (row i used lam[i] times), in
+    lexicographic order."""
     r = sum(lam)
-    tr = transpose(lam)
-    result = 1
-    for v in range(2, r + 1):
-        result *= v
-    for i, row_len in enumerate(lam):
-        for j in range(row_len):
-            result //= row_len - j + tr[j] - i - 1
-    return result
+    left = list(lam)
+    word: list[int] = []
+    out: list[tuple[int, ...]] = []
 
-
-def _tabloids(lam):
-    """All row-set fillings of shape lam with 1..r, as tuples of sorted tuples."""
-    r = sum(lam)
-    out = []
-
-    def rec(i, remaining, rows):
-        if i == len(lam):
-            out.append(tuple(rows))
+    def rec():
+        if len(word) == r:
+            out.append(tuple(word))
             return
-        for combo in itertools.combinations(sorted(remaining), lam[i]):
-            rec(i + 1, remaining - set(combo), rows + [combo])
+        for i, n in enumerate(left):
+            if n:
+                left[i] -= 1
+                word.append(i)
+                rec()
+                word.pop()
+                left[i] += 1
 
-    rec(0, set(range(1, r + 1)), [])
+    rec()
     return out
 
 
@@ -98,26 +117,24 @@ def _perm_sign(perm) -> int:
 
 
 def _polytabloid(tableau, p, tabloid_index) -> dict[int, int]:
-    """Signed column-stabilizer sum of the tabloid of `tableau`, as a sparse
-    vector over the tabloid basis."""
-    lam = tuple(len(row) for row in tableau)
-    columns = []
-    for j in range(lam[0] if lam else 0):
-        col = [tableau[i][j] for i in range(len(lam)) if lam[i] > j]
-        columns.append(col)
+    """e_t: the signed column-stabilizer sum of the tabloid of `tableau`, as a
+    sparse vector over the tabloid basis.  A column permutation only rewrites
+    the rows at that column's entries of the row word."""
+    word = list(_row_word(tableau))
+    column_positions = []
+    pools = []
+    for col in _columns(tableau):
+        if len(col) > 1:
+            column_positions.append([v - 1 for v in col])
+            pools.append([(q, _perm_sign(q)) for q in itertools.permutations(range(len(col)))])
     vec: dict[int, int] = {}
-    pools = [list(itertools.permutations(range(len(col)))) for col in columns]
     for choice in itertools.product(*pools):
         sign = 1
-        mapping = {}
-        for col, perm in zip(columns, choice):
-            sign *= _perm_sign(perm)
-            for src, dst in enumerate(perm):
-                mapping[col[src]] = col[dst]
-        rows = tuple(
-            tuple(sorted(mapping.get(v, v) for v in row)) for row in tableau
-        )
-        idx = tabloid_index[rows]
+        for positions, (rows, s) in zip(column_positions, choice):
+            sign *= s
+            for pos, i in zip(positions, rows):
+                word[pos] = i
+        idx = tabloid_index[tuple(word)]
         v = (vec.get(idx, 0) + sign) % p
         if v:
             vec[idx] = v
@@ -140,7 +157,11 @@ class SpechtRep:
 @lru_cache(maxsize=None)
 def specht_rep(lam, p: int) -> SpechtRep:
     """The Specht module of lam over GF(p), at any degree: the bound
-    WEYLHOM_SPECHT_BOUND is checked by specht_hom_dim, on every call."""
+    WEYLHOM_SPECHT_BOUND is checked by specht_hom_dim, on every call.
+
+    The column of s_i for a standard t comes from Young's rule (see the module
+    docstring); each shortcut column is checked against the relabelled vector,
+    and each solve against every tabloid row."""
     lam = partition(lam)
     check_prime(p)
     r = sum(lam)
@@ -148,20 +169,36 @@ def specht_rep(lam, p: int) -> SpechtRep:
     f = len(syts)
     tabloids = _tabloids(lam)
     tabloid_index = {t: i for i, t in enumerate(tabloids)}
+    basis = [_polytabloid(t, p, tabloid_index) for t in syts]
     basis_matrix = MatrixGFp(len(tabloids), f, p)
-    for col, t in enumerate(syts):
-        for idx, v in _polytabloid(t, p, tabloid_index).items():
+    for col, vec in enumerate(basis):
+        for idx, v in vec.items():
             basis_matrix.set(idx, col, v)
     ech = Echelon(basis_matrix, with_transform=True)
     if ech.rank != f:
         raise ArithmeticError(f"standard polytabloids of {lam} are dependent mod {p}")
+    row_words = [_row_word(t) for t in syts]
+    col_words = [_row_word(_columns(t)) for t in syts]  # w[v-1]: the column of v
+    syt_index = {w: c for c, w in enumerate(row_words)}
     gens = []
     for i in range(1, r):
-        swap = {i: i + 1, i + 1: i}
+        relabel = [tabloid_index[_swap(w, i)] for w in tabloids]
         cols = []
-        for t in syts:
-            moved = tuple(tuple(swap.get(v, v) for v in row) for row in t)
-            cols.append(ech.solve(_polytabloid(moved, p, tabloid_index)))
+        for c, vec in enumerate(basis):
+            moved = {relabel[k]: v for k, v in vec.items()}
+            row_word = row_words[c]
+            if row_word[i - 1] == row_word[i]:
+                cols.append(ech.solve(moved))
+                continue
+            if col_words[c][i - 1] == col_words[c][i]:
+                target, sign = c, -1
+            else:
+                target, sign = syt_index[_swap(row_word, i)], 1
+            if moved != {k: (sign * v) % p for k, v in basis[target].items()}:
+                raise ArithmeticError(f"Young's rule fails for s_{i} on {syts[c]} mod {p}")
+            col = [0] * f
+            col[target] = sign % p
+            cols.append(col)
         # cols[c][row]: coordinate of s_i e_{t_c}; store as row-major matrix
         gens.append(tuple(tuple(cols[c][row] for c in range(f)) for row in range(f)))
     return SpechtRep(lam, p, f, tuple(gens))

@@ -9,15 +9,21 @@ ones-step and the peel, but it realizes tableaux with `polyalg.dprime` and
 solves with `gfp.Echelon`, the same two pieces `WeylContext._solve` uses.
 `dprime` itself is checked against a brute-force dealing that shares nothing
 with it (`test_polyalg.py::test_dprime_matches_brute_force_dealing`).
+`reference_specht_gens` is the Specht oracle's brute-force construction: a
+fresh polytabloid and an `Echelon.solve` for every adjacent transposition
+and standard tableau, with no use of Young's rule.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
 from weylhom.gfp import Echelon, MatrixGFp, check_prime
 from weylhom.polyalg import dp_comult, dp_mult, dprime, mono, mono_degree
 from weylhom.shapes import partition
+from weylhom.specht import standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
 
 
@@ -161,6 +167,98 @@ def reference_phi_terms(tab: Tableau, factors, p: int) -> list[tuple[int, Tablea
 
     rec(0, [()] * nrows, 1)
     return terms
+
+
+def _sorted_row_tabloids(lam):
+    """All row-set fillings of shape lam with 1..r, as tuples of sorted tuples."""
+    r = sum(lam)
+    out = []
+
+    def rec(i, remaining, rows):
+        if i == len(lam):
+            out.append(tuple(rows))
+            return
+        for combo in itertools.combinations(sorted(remaining), lam[i]):
+            rec(i + 1, remaining - set(combo), rows + [combo])
+
+    rec(0, set(range(1, r + 1)), [])
+    return out
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _reference_polytabloid(tableau, p, tabloid_index) -> dict[int, int]:
+    """Signed column-stabilizer sum of the tabloid of `tableau`, as a sparse
+    vector over the tabloid basis."""
+    lam = tuple(len(row) for row in tableau)
+    columns = []
+    for j in range(lam[0] if lam else 0):
+        col = [tableau[i][j] for i in range(len(lam)) if lam[i] > j]
+        columns.append(col)
+    vec: dict[int, int] = {}
+    pools = [list(itertools.permutations(range(len(col)))) for col in columns]
+    for choice in itertools.product(*pools):
+        sign = 1
+        mapping = {}
+        for col, perm in zip(columns, choice):
+            sign *= _perm_sign(perm)
+            for src, dst in enumerate(perm):
+                mapping[col[src]] = col[dst]
+        rows = tuple(
+            tuple(sorted(mapping.get(v, v) for v in row)) for row in tableau
+        )
+        idx = tabloid_index[rows]
+        v = (vec.get(idx, 0) + sign) % p
+        if v:
+            vec[idx] = v
+        else:
+            vec.pop(idx, None)
+    return vec
+
+
+def reference_specht_gens(lam, p: int) -> tuple:
+    """The matrices of s_1, ..., s_{r-1} on the standard polytabloids of lam
+    over GF(p), row-major: s_i e_t is rebuilt as the polytabloid of s_i t and
+    solved against the basis, for every i and t."""
+    lam = partition(lam)
+    check_prime(p)
+    r = sum(lam)
+    syts = standard_young_tableaux(lam)
+    f = len(syts)
+    tabloids = _sorted_row_tabloids(lam)
+    tabloid_index = {t: i for i, t in enumerate(tabloids)}
+    basis_matrix = MatrixGFp(len(tabloids), f, p)
+    for col, t in enumerate(syts):
+        for idx, v in _reference_polytabloid(t, p, tabloid_index).items():
+            basis_matrix.set(idx, col, v)
+    ech = Echelon(basis_matrix, with_transform=True)
+    if ech.rank != f:
+        raise ArithmeticError(f"standard polytabloids of {lam} are dependent mod {p}")
+    gens = []
+    for i in range(1, r):
+        swap = {i: i + 1, i + 1: i}
+        cols = []
+        for t in syts:
+            moved = tuple(tuple(swap.get(v, v) for v in row) for row in t)
+            cols.append(ech.solve(_reference_polytabloid(moved, p, tabloid_index)))
+        # cols[c][row]: coordinate of s_i e_{t_c}; store as row-major matrix
+        gens.append(tuple(tuple(cols[c][row] for c in range(f)) for row in range(f)))
+    return tuple(gens)
 
 
 def assert_canonical(tab: Tableau) -> None:

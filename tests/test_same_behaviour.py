@@ -2,7 +2,9 @@
 not change.  The scan and Hom-basis digests were recorded before the
 one-pass exterior realization replaced the sort-and-sign pass, and both
 reach exterior solves.  The enumeration digest was recorded before the
-horizontal-strip enumerator replaced the row-by-row one.  A change that
+horizontal-strip enumerator replaced the row-by-row one.  The Specht digest
+was recorded before Young's rule replaced a fresh polytabloid and a solve
+for every adjacent transposition and standard tableau.  A change that
 alters any of these outputs on purpose must say why and re-record."""
 
 import hashlib
@@ -13,11 +15,13 @@ import weylhom.cli as cli
 from conftest import compositions_of
 from weylhom.homspace import hom_dim
 from weylhom.shapes import all_partitions, composition
+from weylhom.specht import specht_rep
 from weylhom.tableaux import enumerate_standard
 
 SCAN_DIGEST = "01ec56f0a00e6a402b8acecf881320d9c41c422b11949c205fba1837163b8745"
 HOM_DEG7_P2_DIGEST = "67e66951753988c68b0e4396b901a8fc7fa9e39b8f468df4f46937f88195a59f"
 ENUMERATE_DIGEST = "81c50d554ebcee6595fb1e286b7ca80b88f882d69cca0f7a65ba1fea9933fa17"
+SPECHT_GENS_DIGEST = "10aa92b45bbb1097ae92aab7e32db47989fd7d4a3524dea09a61bf4a0715660e"
 
 
 @pytest.fixture(autouse=True)
@@ -62,3 +66,15 @@ def test_enumerated_tableaux_are_unchanged():
                     std = enumerate_standard(mu_m, alpha_m)
                     digest.update(repr((mu_m, alpha_m, [t.counts for t in std])).encode())
     assert digest.hexdigest() == ENUMERATE_DIGEST
+
+
+def test_specht_generators_are_unchanged():
+    # the oracle's matrices of s_1, ..., s_{r-1} for every shape of degree
+    # 1..7 at p in {3, 5, 7}
+    digest = hashlib.sha256()
+    for r in range(1, 8):
+        for lam in all_partitions(r):
+            for p in (3, 5, 7):
+                rep = specht_rep(lam, p)
+                digest.update(repr((rep.lam, p, rep.dim, rep.gens)).encode())
+    assert digest.hexdigest() == SPECHT_GENS_DIGEST

@@ -1,10 +1,11 @@
 import pytest
 
+import weylhom.specht as specht
+from conftest import reference_specht_gens
 from weylhom.homspace import hom_dim
-from weylhom.shapes import all_partitions
+from weylhom.shapes import all_partitions, partition, transpose
 from weylhom.specht import (
     DegreeBoundError,
-    hook_length_count,
     oracle_compare,
     specht_hom_dim,
     specht_rep,
@@ -22,6 +23,20 @@ def _mat_mul(a, b, p):
 
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def hook_length_count(lam) -> int:
+    """Number of standard Young tableaux by the hook length formula."""
+    lam = partition(lam)
+    r = sum(lam)
+    tr = transpose(lam)
+    result = 1
+    for v in range(2, r + 1):
+        result *= v
+    for i, row_len in enumerate(lam):
+        for j in range(row_len):
+            result //= row_len - j + tr[j] - i - 1
+    return result
 
 
 def test_syt_counts_match_hook_lengths():
@@ -60,6 +75,55 @@ def test_coxeter_relations_exact(p):
                     assert _mat_mul(gens[i], gens[j], p) == _mat_mul(
                         gens[j], gens[i], p
                     ), lam
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_young_rule_matches_bruteforce_reference(p):
+    # every shape of degree <= 6: the generators equal the construction that
+    # rebuilds and solves every s_i e_t, and the two closed-form cases of
+    # Young's rule give exactly the columns they claim
+    seen = {"same column": 0, "apart": 0, "same row": 0}
+    for r in range(0, 7):
+        for lam in all_partitions(r):
+            rep = specht_rep(lam, p)
+            assert rep.gens == reference_specht_gens(lam, p), lam
+            syts = standard_young_tableaux(lam)
+            index = {t: c for c, t in enumerate(syts)}
+            for i, g in enumerate(rep.gens, start=1):
+                swap = {i: i + 1, i + 1: i}
+                for c, t in enumerate(syts):
+                    pos = {v: (a, b) for a, row in enumerate(t) for b, v in enumerate(row)}
+                    (row_i, col_i), (row_j, col_j) = pos[i], pos[i + 1]
+                    column = [g[k][c] for k in range(rep.dim)]
+                    if col_i == col_j:
+                        case, target, value = "same column", c, p - 1
+                    elif row_i != row_j:
+                        moved = tuple(tuple(swap.get(v, v) for v in row) for row in t)
+                        case, target, value = "apart", index[moved], 1
+                    else:
+                        seen["same row"] += 1
+                        continue
+                    seen[case] += 1
+                    assert column == [value if k == target else 0 for k in range(rep.dim)], (
+                        lam, i, t
+                    )
+    assert min(seen.values()) > 0, seen
+
+
+def test_young_rule_shortcut_is_checked(monkeypatch):
+    # doubling e_t for the first standard tableau of (2, 1) makes s_2 e_t
+    # twice e_{s_2 t}, so the closed-form column no longer matches
+    real = specht._polytabloid
+
+    def doubled_first(tableau, p, tabloid_index):
+        vec = real(tableau, p, tabloid_index)
+        if tableau == ((1, 2), (3,)):
+            vec = {k: 2 * v % p for k, v in vec.items()}
+        return vec
+
+    monkeypatch.setattr(specht, "_polytabloid", doubled_first)
+    with pytest.raises(ArithmeticError, match="Young's rule"):
+        specht_rep((2, 1), 3)
 
 
 def test_identity_intertwiner_always_present():
