@@ -36,7 +36,6 @@ from .tableaux import Tableau, enumerate_standard, from_row_entries
 from .weyl import (
     WeylCoords,
     relation_generators,
-    standard_image_matrix,
     straighten,
     two_row_straighten,
 )

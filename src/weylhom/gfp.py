@@ -3,7 +3,10 @@
 Everything is integer arithmetic on residues in [0, p).  No floats, no
 probabilistic shortcuts: ranks and kernels are exact.  Elimination computes
 the reduced echelon form, which depends only on the row space and not on the
-order rows are absorbed in, so bases are reproducible across runs.
+order rows are absorbed in, so bases are reproducible across runs.  A basis
+that is already unitriangular (each element has its own lowest key, with
+coefficient 1) needs no elimination at all: `reduce_lowest` solves against
+it term by term.
 """
 
 from __future__ import annotations
@@ -98,6 +101,33 @@ def add_scaled(dst: dict, factor: int, src: dict, p: int) -> None:
             dst.pop(j, None)
 
 
+def reduce_lowest(vec: dict, basis: dict, p: int) -> dict:
+    """Coordinates of vec over a unitriangular basis, by lowest-term reduction.
+
+    `basis` maps each lead to (label, element): the element's lowest key is
+    the lead, with coefficient 1, and no two elements share a lead.  The
+    lowest key left in vec names the only element that can cancel it, so the
+    coordinates {label: c} are unique, and a lowest key that is no lead
+    means vec lies outside the span (InconsistentSystemError).  Every step
+    removes the lowest key and adds only higher ones, and the loop ends only
+    at exactly zero; an element whose lead is no unit would leave its lead
+    behind, which raises rather than loops.
+    """
+    rest = dict(vec)
+    coords = {}
+    while rest:
+        lead = min(rest)
+        entry = basis.get(lead)
+        if entry is None:
+            raise InconsistentSystemError("no exact solution")
+        label, element = entry
+        c = coords[label] = rest[lead]
+        add_scaled(rest, -c, element, p)
+        if lead in rest:
+            raise InconsistentSystemError(f"basis element {label} does not clear its lead")
+    return coords
+
+
 class MatrixGFp:
     """Sparse matrix over GF(p): rows stored as {col: nonzero residue}."""
 
@@ -149,7 +179,9 @@ class Echelon:
     not depend on the absorption order.  Pivot rows carry a transform (their
     expression in the original rows, a kept row standing for its first
     occurrence) so that solving against new right-hand sides is a cheap
-    replay rather than a fresh elimination.
+    replay rather than a fresh elimination.  The rank is the number of
+    pivots, known once every row is absorbed; back-substitution waits until
+    `pivot_rows`, `kernel_basis` or `solve` first needs the reduced form.
     """
 
     def __init__(self, matrix: MatrixGFp, with_transform: bool = False):
@@ -157,9 +189,10 @@ class Echelon:
         self.p = matrix.p
         self.ncols = matrix.ncols
         self.with_transform = with_transform
-        # pivot col -> reduced row dict; transform kept alongside when asked
-        self.pivot_rows: dict[int, dict[int, int]] = {}
-        self.transforms: dict[int, dict[int, int]] = {}
+        # pivot col -> row dict (reduced once _reduced); transform alongside when asked
+        self._pivots: dict[int, dict[int, int]] = {}
+        self._transforms: dict[int, dict[int, int]] = {}
+        self._reduced = False
         rows = matrix.rows
         first = {}
         for idx, row in enumerate(rows):
@@ -167,33 +200,43 @@ class Echelon:
                 first.setdefault(frozenset(row.items()), idx)
         for idx in sorted(first.values(), key=lambda i: len(rows[i])):
             self._absorb(dict(rows[idx]), {idx: 1} if with_transform else None)
-        self._back_substitute()
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_rows)
+        return len(self._pivots)
+
+    @property
+    def pivot_rows(self) -> dict[int, dict[int, int]]:
+        """pivot col -> reduced row, back-substituted on first read."""
+        self._back_substitute()
+        return self._pivots
 
     def _absorb(self, row: dict[int, int], transform) -> None:
         p = self.p
         while row:
             lead = min(row)
-            existing = self.pivot_rows.get(lead)
+            existing = self._pivots.get(lead)
             if existing is None:
                 inv = pow(row[lead], -1, p)
-                self.pivot_rows[lead] = {j: (c * inv) % p for j, c in row.items()}
+                self._pivots[lead] = {j: (c * inv) % p for j, c in row.items()}
                 if transform is not None:
-                    self.transforms[lead] = {k: (c * inv) % p for k, c in transform.items()}
+                    self._transforms[lead] = {k: (c * inv) % p for k, c in transform.items()}
                 return
             factor = row[lead]
             add_scaled(row, -factor, existing, p)
             if transform is not None:
-                add_scaled(transform, -factor, self.transforms[lead], p)
+                add_scaled(transform, -factor, self._transforms[lead], p)
 
     def _back_substitute(self) -> None:
+        """Clear every pivot column above its pivot, transforms alongside; once."""
+        if self._reduced:
+            return
+        self._reduced = True
         p = self.p
-        for lead in sorted(self.pivot_rows, reverse=True):
-            row = self.pivot_rows[lead]
-            for other_lead, other in self.pivot_rows.items():
+        pivots, transforms = self._pivots, self._transforms
+        for lead in sorted(pivots, reverse=True):
+            row = pivots[lead]
+            for other_lead, other in pivots.items():
                 if other_lead >= lead:
                     continue
                 factor = other.get(lead, 0)
@@ -201,18 +244,19 @@ class Echelon:
                     continue
                 add_scaled(other, -factor, row, p)
                 if self.with_transform:
-                    add_scaled(self.transforms[other_lead], -factor, self.transforms[lead], p)
+                    add_scaled(transforms[other_lead], -factor, transforms[lead], p)
 
     def kernel_basis(self) -> list[list[int]]:
         """Reduced basis of the right kernel, one vector per free column, ascending."""
         p = self.p
+        pivot_rows = self.pivot_rows
         basis = []
         for free in range(self.ncols):
-            if free in self.pivot_rows:
+            if free in pivot_rows:
                 continue
             v = [0] * self.ncols
             v[free] = 1
-            for lead, row in self.pivot_rows.items():
+            for lead, row in pivot_rows.items():
                 c = row.get(free, 0)
                 if c:
                     v[lead] = (-c) % p
@@ -224,8 +268,9 @@ class Echelon:
         if not self.with_transform:
             raise ValueError("Echelon built without transform cannot solve")
         p = self.p
+        self._back_substitute()
         x = [0] * self.ncols
-        for lead, transform in self.transforms.items():
+        for lead, transform in self._transforms.items():
             if len(rhs) < len(transform):
                 x[lead] = sum(transform.get(k, 0) * v for k, v in rhs.items()) % p
             else:

@@ -8,9 +8,14 @@ s_i e_t is e_t with its support relabelled, and its coordinates follow
 Young's natural action (James, LNM 682, section 8): -e_t when i and i+1
 share a column of t, e_{s_i t} when they share neither row nor column, and
 an exact solve against the standard polytabloids when they share a row.
-Hom dimensions are cut out by the intertwiner equations for those
-generators.  For odd p the dimensions match the Weyl-side ones under the
-classical dictionary, which is what oracle_compare checks.
+That solve needs no elimination: tabloids are indexed in row-word order, and
+the lowest tabloid of e_t is the tabloid of t itself, with coefficient 1
+(James, section 8), so the standard polytabloids form a unitriangular basis
+and `gfp.reduce_lowest` solves against it term by term.  Every unit lead is
+checked when the module is built.  Hom dimensions are cut out by the
+intertwiner equations for those generators.  For odd p the dimensions match
+the Weyl-side ones under the classical dictionary, which is what
+oracle_compare checks.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import config
-from .gfp import Echelon, MatrixGFp, add_scaled, check_prime
+from .gfp import MatrixGFp, add_scaled, check_prime, reduce_lowest
 from .homspace import hom_dim
 from .shapes import partition
 
@@ -161,7 +166,7 @@ def specht_rep(lam, p: int) -> SpechtRep:
 
     The column of s_i for a standard t comes from Young's rule (see the module
     docstring); each shortcut column is checked against the relabelled vector,
-    and each solve against every tabloid row."""
+    and each solve must reduce the relabelled vector to exactly zero."""
     lam = partition(lam)
     check_prime(p)
     r = sum(lam)
@@ -170,14 +175,13 @@ def specht_rep(lam, p: int) -> SpechtRep:
     tabloids = _tabloids(lam)
     tabloid_index = {t: i for i, t in enumerate(tabloids)}
     basis = [_polytabloid(t, p, tabloid_index) for t in syts]
-    basis_matrix = MatrixGFp(len(tabloids), f, p)
-    for col, vec in enumerate(basis):
-        for idx, v in vec.items():
-            basis_matrix.set(idx, col, v)
-    ech = Echelon(basis_matrix, with_transform=True)
-    if ech.rank != f:
-        raise ArithmeticError(f"standard polytabloids of {lam} are dependent mod {p}")
     row_words = [_row_word(t) for t in syts]
+    leads = {}
+    for c, vec in enumerate(basis):
+        lead = tabloid_index[row_words[c]]
+        if min(vec, default=None) != lead or vec[lead] != 1:
+            raise ArithmeticError(f"polytabloid of {syts[c]} lacks its unit lowest term mod {p}")
+        leads[lead] = (c, vec)
     col_words = [_row_word(_columns(t)) for t in syts]  # w[v-1]: the column of v
     syt_index = {w: c for c, w in enumerate(row_words)}
     gens = []
@@ -188,7 +192,10 @@ def specht_rep(lam, p: int) -> SpechtRep:
             moved = {relabel[k]: v for k, v in vec.items()}
             row_word = row_words[c]
             if row_word[i - 1] == row_word[i]:
-                cols.append(ech.solve(moved))
+                col = [0] * f
+                for target, v in reduce_lowest(moved, leads, p).items():
+                    col[target] = v
+                cols.append(col)
                 continue
             if col_words[c][i - 1] == col_words[c][i]:
                 target, sign = c, -1

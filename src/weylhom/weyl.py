@@ -11,12 +11,17 @@ weight.  Straightening computes that expansion.  Three mechanisms cooperate:
   mu_2 ones, the expansion of the tableau is the expansion of its row-deleted
   part with the first row reattached, which recurses into a strictly smaller
   shape;
-* an exact linear solve against the exterior realizations of the standard
+* an exact solve against the exterior realizations of the standard
   tableaux, for the residual small cases the closed forms do not reach.
 
 The first two cover every computation in the stabilized regime (mu_2 <=
 lambda_1), where first rows grow without bound; the solve only ever sees
-weight spaces of the original, small degree.
+weight spaces of the original, small degree.  It needs no elimination: the
+realization of a standard tableau S has the column word of S as its lowest
+exterior monomial, with coefficient 1 (the leading-term half of the standard
+basis theorem, Akin-Buchsbaum-Weyman 1982), so the standard images form a
+unitriangular basis and `gfp.reduce_lowest` solves against it term by term.
+Each weight space checks every such unit lead on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import config
-from .gfp import Echelon, InconsistentSystemError, MatrixGFp, add_scaled, binom_mod, check_prime
+from .gfp import InconsistentSystemError, add_scaled, binom_mod, check_prime, reduce_lowest
 from .polyalg import ExpansionLimitError, bounded_compositions, dprime, mono
 from .shapes import composition, partition
 from .tableaux import Tableau, enumerate_standard
@@ -91,7 +96,8 @@ class WeylContext:
         self.p = p
         self.fallback_solves = 0
         self._expansions: dict[Tableau, dict[Tableau, int]] = {}
-        self._solvers: dict[tuple[int, ...], tuple[tuple[Tableau, ...], dict, Echelon]] = {}
+        # weight -> {lead: (standard tableau, its exterior realization)}
+        self._bases: dict[tuple[int, ...], dict] = {}
 
     # -- public ---------------------------------------------------------
 
@@ -182,37 +188,43 @@ class WeylContext:
     def _solve(self, tab: Tableau) -> dict[Tableau, int]:
         """Express the exterior realization of tab over the standard images."""
         self.fallback_solves += 1
-        alpha = tab.weight
         try:
-            std, index, ech = self._solver(alpha)
+            basis = self._standard_basis(tab.weight)
             image = realize(self.mu, tab, self.p)
         except ExpansionLimitError as exc:
             raise StraighteningLimitError(
                 f"straightening {tab.render()} in shape {self.mu} needs an exterior "
                 f"expansion beyond the budget: {exc}"
             ) from exc
-        # an empty weight space has an empty index, so any nonzero image fails here
-        rhs = {}
-        for k, v in image.items():
-            if k not in index:
-                raise InconsistentSystemError(
-                    f"class {tab.render()} leaves the span of standard images"
-                )
-            rhs[index[k]] = v
-        coeffs = ech.solve(rhs)
-        return {std[i]: c for i, c in enumerate(coeffs) if c}
+        # an empty weight space has no leads, so any nonzero image fails here
+        try:
+            return reduce_lowest(image, basis, self.p)
+        except InconsistentSystemError:
+            raise InconsistentSystemError(
+                f"class {tab.render()} leaves the span of standard images"
+            ) from None
 
-    def _solver(self, alpha):
-        entry = self._solvers.get(alpha)
-        if entry is None:
-            std, index, matrix = standard_images(self.mu, alpha, self.p)
-            ech = Echelon(matrix, with_transform=True)
-            if ech.rank != len(std):
-                raise InconsistentSystemError(
-                    f"standard images of shape {self.mu}, weight {alpha} are dependent"
-                )
-            entry = self._solvers[alpha] = (std, index, ech)
-        return entry
+    def _standard_basis(self, alpha) -> dict:
+        """The standard images of weight alpha keyed by their unit leads, with
+        the exterior monomials interned across the weight space.  Each lead
+        must be the column word of its own tableau, so no two coincide and
+        the images are independent."""
+        basis = self._bases.get(alpha)
+        if basis is None:
+            keys: dict = {}
+            basis = {}
+            for std in enumerate_standard(self.mu, alpha):
+                image = realize(self.mu, std, self.p)
+                image = {keys.setdefault(k, k): v for k, v in image.items()}
+                lead = min(image, default=None)
+                if lead != column_word(std) or image[lead] != 1:
+                    raise InconsistentSystemError(
+                        f"the standard image of {std.render()} in shape {self.mu} "
+                        f"lacks its unit lowest term"
+                    )
+                basis[lead] = (std, image)
+            self._bases[alpha] = basis
+        return basis
 
 
 _contexts: dict[tuple[tuple[int, ...], int], WeylContext] = {}
@@ -252,24 +264,9 @@ def realize(mu, tab: Tableau, p: int) -> dict:
     return dprime(mu, factors, p, limit=config.expansion_limit())
 
 
-def standard_images(mu, alpha, p: int):
-    """The standard tableaux of shape mu and weight alpha, the sorted row index
-    of the exterior monomials their realizations touch, and the matrix with
-    one realization per column over that index (full column rank)."""
-    mu = partition(mu)
-    std = enumerate_standard(mu, alpha)
-    images = [realize(mu, t, p) for t in std]
-    keys = sorted({k for img in images for k in img})
-    index = {k: i for i, k in enumerate(keys)}
-    matrix = MatrixGFp(len(keys), len(std), p)
-    for col, img in enumerate(images):
-        for k, v in img.items():
-            matrix.set(index[k], col, v)
-    return std, index, matrix
-
-
-def standard_image_matrix(mu, alpha, p: int) -> MatrixGFp:
-    """Matrix of exterior realizations of the standard tableaux of shape mu,
-    weight alpha: one column per tableau over a shared row index of exterior
-    monomials (sorted), full column rank."""
-    return standard_images(mu, alpha, p)[2]
+def column_word(tab: Tableau) -> tuple[tuple[int, ...], ...]:
+    """The columns of tab, top to bottom, as an exterior monomial."""
+    rows = [[e for e, c in enumerate(row, start=1) for _ in range(c)] for row in tab.counts]
+    return tuple(
+        tuple(row[j] for row in rows if len(row) > j) for j in range(len(rows[0]) if rows else 0)
+    )

@@ -5,10 +5,13 @@ exterior-realization solve for straightening, and the generic tensor
 evaluation of phi_T (on the tensor a relation generator stands for) that
 the closed-form relation images are checked against.  The Kostka count is
 independent of the library.  `reference_straighten` is not: it skips the
-ones-step and the peel, but it realizes tableaux with `polyalg.dprime` and
-solves with `gfp.Echelon`, the same two pieces `WeylContext._solve` uses.
-`dprime` itself is checked against a brute-force dealing that shares nothing
-with it (`test_polyalg.py::test_dprime_matches_brute_force_dealing`).
+ones-step and the peel, but it realizes tableaux with `polyalg.dprime`, as
+`WeylContext._solve` does.  It solves by general elimination (`gfp.Echelon`),
+where `_solve` reduces by lowest terms against the unitriangular standard
+images.  `standard_image_matrix` builds those images as one matrix over a
+sorted monomial index, for the full-rank checks.  `dprime` itself is
+checked against a brute-force dealing that shares nothing with it
+(`test_polyalg.py::test_dprime_matches_brute_force_dealing`).
 `reference_specht_gens` is the Specht oracle's brute-force construction: a
 fresh polytabloid and an `Echelon.solve` for every adjacent transposition
 and standard tableau, with no use of Young's rule.
@@ -25,6 +28,7 @@ from weylhom.polyalg import dp_comult, dp_mult, dprime, mono, mono_degree
 from weylhom.shapes import partition
 from weylhom.specht import standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
+from weylhom.weyl import realize
 
 
 def distinct_permutations(items):
@@ -106,6 +110,21 @@ def reference_straighten(mu, tab: Tableau, p: int) -> dict[Tableau, int]:
         {index[k]: v for k, v in target.items()}
     )
     return {std[i]: v for i, v in enumerate(solution) if v}
+
+
+def standard_image_matrix(mu, alpha, p: int) -> MatrixGFp:
+    """Matrix of exterior realizations of the standard tableaux of shape mu,
+    weight alpha: one column per tableau over a shared row index of exterior
+    monomials (sorted), full column rank."""
+    mu = partition(mu)
+    images = [realize(mu, t, p) for t in enumerate_standard(mu, alpha)]
+    keys = sorted({k for img in images for k in img})
+    index = {k: i for i, k in enumerate(keys)}
+    matrix = MatrixGFp(len(keys), len(images), p)
+    for col, img in enumerate(images):
+        for k, v in img.items():
+            matrix.set(index[k], col, v)
+    return matrix
 
 
 def generator_tensor(gen) -> tuple:

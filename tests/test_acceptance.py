@@ -9,12 +9,17 @@ import math
 import random
 import time
 
-from conftest import compositions_of, kostka_bruteforce, reference_straighten
+from conftest import (
+    compositions_of,
+    kostka_bruteforce,
+    reference_straighten,
+    standard_image_matrix,
+)
 from weylhom.gfp import binom_mod
 from weylhom.homspace import hom_dim, phi_eval_terms, verify_stabilization
 from weylhom.shapes import all_partitions, parse_partition, weyl_dimension
 from weylhom.tableaux import Tableau, enumerate_standard
-from weylhom.weyl import get_context, relation_generators, standard_image_matrix
+from weylhom.weyl import get_context, relation_generators
 import weylhom.weyl as weyl_module
 
 

@@ -10,9 +10,11 @@ from weylhom.gfp import (
     InconsistentSystemError,
     MatrixGFp,
     NonPrimeModulusError,
+    add_scaled,
     binom_mod,
     is_prime,
     multinomial_mod,
+    reduce_lowest,
 )
 
 
@@ -156,6 +158,49 @@ def test_echelon_solve_detects_inconsistency():
         ech.solve({0: 1, 1: 2})
 
 
+def test_reduce_lowest_on_random_unitriangular_bases():
+    # random unitriangular bases over keys 0..n-1: a combination reduces to
+    # its own coordinates, the input is left alone, and adding 1 at a key
+    # that is no lead leaves the span
+    rng = random.Random(23)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        nkeys = rng.randrange(1, 9)
+        leads = sorted(rng.sample(range(nkeys), rng.randrange(0, nkeys + 1)))
+        basis = {}
+        for label, lead in enumerate(leads):
+            element = {lead: 1}
+            for k in range(lead + 1, nkeys):
+                v = rng.randrange(p) if rng.random() < 0.5 else 0
+                if v:
+                    element[k] = v
+            basis[lead] = (label, element)
+        coords = {}
+        for label in range(len(leads)):
+            c = rng.randrange(p)
+            if c:
+                coords[label] = c
+        vec: dict = {}
+        for label, element in basis.values():
+            add_scaled(vec, coords.get(label, 0), element, p)
+        before = dict(vec)
+        assert reduce_lowest(vec, basis, p) == coords
+        assert vec == before
+        free = [k for k in range(nkeys) if k not in basis]
+        if free:
+            bad = dict(vec)
+            add_scaled(bad, 1, {rng.choice(free): 1}, p)
+            with pytest.raises(InconsistentSystemError):
+                reduce_lowest(bad, basis, p)
+
+
+def test_reduce_lowest_rejects_a_lead_that_is_no_unit():
+    # an element with lead coefficient 2 cannot clear its lead: an error, not a loop
+    basis = {0: ("a", {0: 2, 1: 1}), 1: ("b", {1: 1})}
+    with pytest.raises(InconsistentSystemError, match="does not clear its lead"):
+        reduce_lowest({0: 1}, basis, 5)
+
+
 def test_matrix_set_bounds_and_zero_removal():
     m = MatrixGFp(2, 2, 3)
     m.set(0, 0, 5)
@@ -190,8 +235,13 @@ def test_echelon_ignores_row_order_repeats_and_empty_rows():
         )
         ech = Echelon(m, with_transform=True)
         other = Echelon(shuffled, with_transform=True)
+        # the rank is read off the unreduced pivots, before back-substitution
+        unreduced = (ech.rank, other.rank)
+        assert not ech._reduced and not other._reduced
         assert other.pivot_rows == ech.pivot_rows
-        assert other.rank == ech.rank
+        assert ech._reduced and other._reduced
+        assert (ech.rank, other.rank) == unreduced
+        assert other.rank == ech.rank == len(ech.pivot_rows) == ncols - len(ech.kernel_basis())
         assert other.kernel_basis() == ech.kernel_basis()
         x = [rng.randrange(p) for _ in range(ncols)]
         b = m.mul_vec(x)

@@ -2,6 +2,7 @@ import pytest
 
 import weylhom.specht as specht
 from conftest import reference_specht_gens
+from weylhom.gfp import add_scaled
 from weylhom.homspace import hom_dim
 from weylhom.shapes import all_partitions, partition, transpose
 from weylhom.specht import (
@@ -111,18 +112,58 @@ def test_young_rule_matches_bruteforce_reference(p):
 
 
 def test_young_rule_shortcut_is_checked(monkeypatch):
-    # doubling e_t for the first standard tableau of (2, 1) makes s_2 e_t
-    # twice e_{s_2 t}, so the closed-form column no longer matches
+    # shape (2, 1): tabloids in row-word order are {1,2}/{3}, {1,3}/{2},
+    # {2,3}/{1}, and e_t for t = ((1, 2), (3,)) is the first minus the last.
+    # Adding 1 at the last tabloid, above t's own, keeps the unit lead and
+    # leaves the same-row solve for s_1 consistent, but s_2 e_t is then no
+    # longer e_{s_2 t}, so the closed-form column must be caught
     real = specht._polytabloid
 
-    def doubled_first(tableau, p, tabloid_index):
+    def perturbed(tableau, p, tabloid_index):
         vec = real(tableau, p, tabloid_index)
         if tableau == ((1, 2), (3,)):
-            vec = {k: 2 * v % p for k, v in vec.items()}
+            add_scaled(vec, 1, {len(tabloid_index) - 1: 1}, p)
         return vec
 
-    monkeypatch.setattr(specht, "_polytabloid", doubled_first)
-    with pytest.raises(ArithmeticError, match="Young's rule"):
+    monkeypatch.setattr(specht, "_polytabloid", perturbed)
+    with pytest.raises(ArithmeticError, match="Young's rule fails for s_2"):
+        specht_rep((2, 1), 3)
+
+
+def test_standard_polytabloids_have_unit_lowest_terms():
+    # the tabloid of t is the lowest tabloid of e_t in row-word order, with
+    # coefficient 1: every standard polytabloid of degree 1..7
+    checked = 0
+    for r in range(1, 8):
+        for lam in all_partitions(r):
+            tabloids = specht._tabloids(lam)
+            assert tabloids == sorted(tabloids)
+            index = {w: k for k, w in enumerate(tabloids)}
+            for t in standard_young_tableaux(lam):
+                vec = specht._polytabloid(t, 3, index)
+                lead = index[specht._row_word(t)]
+                assert min(vec) == lead and vec[lead] == 1, t
+                checked += 1
+    assert checked == 351
+
+
+@pytest.mark.parametrize("scale", [0, 2])
+def test_broken_polytabloid_lead_is_caught(monkeypatch, scale):
+    # a standard polytabloid whose lowest term is lost (scale 0) or is no
+    # longer a unit (scale 2) must stop the build before any column is read
+    real = specht._polytabloid
+
+    def broken(tableau, p, tabloid_index):
+        vec = real(tableau, p, tabloid_index)
+        if tableau == ((1, 3), (2,)):
+            lead = min(vec)
+            vec = dict(vec)
+            vec[lead] = vec[lead] * scale % p
+            vec = {k: v for k, v in vec.items() if v}
+        return vec
+
+    monkeypatch.setattr(specht, "_polytabloid", broken)
+    with pytest.raises(ArithmeticError, match="unit lowest term"):
         specht_rep((2, 1), 3)
 
 

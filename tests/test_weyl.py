@@ -9,18 +9,22 @@ from conftest import (
     generator_tensor,
     is_class_a,
     reference_straighten,
+    standard_image_matrix,
 )
+import weylhom.weyl as weyl
+from weylhom.gfp import InconsistentSystemError
 from weylhom.polyalg import mono
-from weylhom.shapes import all_partitions
+from weylhom.shapes import all_partitions, composition
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
 from weylhom.homspace import relation_matrix
 from weylhom.weyl import (
     StraighteningLimitError,
     WeylContext,
     WeylCoords,
+    column_word,
     get_context,
+    realize,
     relation_generators,
-    standard_image_matrix,
     straighten,
     two_row_straighten,
 )
@@ -166,6 +170,90 @@ def test_standard_image_full_rank_sweep():
             for alpha in shapes:
                 m = standard_image_matrix(mu, alpha, 3)
                 assert m.rank() == m.ncols, (mu, alpha)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_standard_images_have_unit_lowest_terms(p):
+    # the lowest exterior monomial of realize(S) is the column word of S,
+    # with coefficient 1, for every standard S of degree <= 6 and every
+    # weight of at most 6 parts
+    checked = 0
+    for r in range(0, 7):
+        weights = {composition(a) for a in compositions_of(r, r)}
+        for mu in all_partitions(r):
+            for alpha in sorted(weights):
+                for std in enumerate_standard(mu, alpha):
+                    image = realize(mu, std, p)
+                    lead = column_word(std)
+                    assert min(image) == lead and image[lead] == 1, (mu, std.render())
+                    checked += 1
+    assert checked == 6_444
+
+
+def test_column_word_examples():
+    assert column_word(from_row_entries([[1, 1, 2], [2, 3]])) == ((1, 2), (1, 3), (2,))
+    assert column_word(from_row_entries([[1], [2], [3]])) == ((1, 2, 3),)
+    assert column_word(Tableau(())) == ()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lowest_term_solve_matches_reference(monkeypatch, p):
+    # every tableau that reaches the exterior solve while the relation
+    # matrices of all pairs of degree <= 6 are built gets the expansion of
+    # the general-elimination reference
+    solve = WeylContext._solve
+    seen = 0
+
+    def checked(self, tab):
+        nonlocal seen
+        got = solve(self, tab)
+        assert got == reference_straighten(self.mu, tab, self.p), (self.mu, tab.render())
+        seen += 1
+        return got
+
+    monkeypatch.setattr(WeylContext, "_solve", checked)
+    for r in range(1, 7):
+        shapes = all_partitions(r)
+        for lam in shapes:
+            for mu in shapes:
+                if enumerate_standard(mu, lam):
+                    relation_matrix(lam, mu, p)
+    assert seen
+
+
+@pytest.mark.parametrize("scale", [0, 2])
+def test_broken_standard_image_lead_is_caught(monkeypatch, scale):
+    # a standard image whose lowest term is lost (scale 0) or is no longer a
+    # unit (scale 2) must stop the weight space before anything is solved
+    real = weyl.realize
+
+    def broken(mu, tab, p):
+        image = real(mu, tab, p)
+        if tab.is_standard():
+            lead = min(image)
+            image = dict(image)
+            image[lead] = image[lead] * scale % p
+            image = {k: v for k, v in image.items() if v}
+        return image
+
+    monkeypatch.setattr(weyl, "realize", broken)
+    # a three-row shape below the class-A regime is forced onto the solve path
+    tab = from_row_entries([[2, 3], [1, 3], [1, 2]])
+    with pytest.raises(InconsistentSystemError, match="unit lowest term"):
+        straighten((2, 2, 2), tab, 1, 3)
+
+
+def test_class_outside_the_standard_span_is_caught():
+    # an image with a lowest monomial that is no standard lead has no
+    # expansion, and the reduction says so rather than truncating
+    ctx = get_context((2, 2, 2), 3)
+    tab = from_row_entries([[2, 3], [1, 3], [1, 2]])
+    basis = ctx._standard_basis(tab.weight)
+    ctx._bases[tab.weight] = {
+        lead: entry for lead, entry in basis.items() if lead != min(basis)
+    }
+    with pytest.raises(InconsistentSystemError, match="leaves the span"):
+        ctx._solve(tab)
 
 
 def _random_class_a(rng, lam, mu, alphabet):
