@@ -18,7 +18,7 @@ from . import config
 from .gfp import NonPrimeModulusError, check_prime
 from .homspace import hom_dim, verify_stabilization
 from .shapes import all_partitions, format_partition, parse_partition
-from .specht import specht_hom_dim
+from .specht import check_dictionary_prime, specht_hom_dim
 from .tableaux import enumerate_standard
 from .weyl import StraighteningLimitError
 
@@ -215,6 +215,7 @@ def cmd_scan(args) -> int:
 def cmd_oracle(args) -> int:
     lam, mu = _parse_common(args)
     try:
+        check_dictionary_prime(args.p)
         specht = specht_hom_dim(lam, mu, args.p)
     except ValueError as exc:
         raise CliError(str(exc)) from None

@@ -128,6 +128,30 @@ def reduce_lowest(vec: dict, basis: dict, p: int) -> dict:
     return coords
 
 
+def absorb_row(pivots: dict, row: dict, p: int, transform=None, transforms=None) -> bool:
+    """One pivot step of Gaussian elimination over GF(p): reduce `row` in place
+    against `pivots` (lead -> row, lowest key the lead with coefficient 1)
+    and, if anything is left, store it under its lowest key scaled to a unit
+    lead.  True iff the row added a pivot, so absorbing rows one at a time
+    is a streaming rank.  A `transform` is reduced alongside, against
+    `transforms`, and stored with the new pivot.
+    """
+    while row:
+        lead = min(row)
+        existing = pivots.get(lead)
+        if existing is None:
+            inv = pow(row[lead], -1, p)
+            pivots[lead] = {j: (c * inv) % p for j, c in row.items()}
+            if transform is not None:
+                transforms[lead] = {k: (c * inv) % p for k, c in transform.items()}
+            return True
+        factor = row[lead]
+        add_scaled(row, -factor, existing, p)
+        if transform is not None:
+            add_scaled(transform, -factor, transforms[lead], p)
+    return False
+
+
 class MatrixGFp:
     """Sparse matrix over GF(p): rows stored as {col: nonzero residue}."""
 
@@ -199,7 +223,8 @@ class Echelon:
             if row:
                 first.setdefault(frozenset(row.items()), idx)
         for idx in sorted(first.values(), key=lambda i: len(rows[i])):
-            self._absorb(dict(rows[idx]), {idx: 1} if with_transform else None)
+            transform = {idx: 1} if with_transform else None
+            absorb_row(self._pivots, dict(rows[idx]), self.p, transform, self._transforms)
 
     @property
     def rank(self) -> int:
@@ -210,22 +235,6 @@ class Echelon:
         """pivot col -> reduced row, back-substituted on first read."""
         self._back_substitute()
         return self._pivots
-
-    def _absorb(self, row: dict[int, int], transform) -> None:
-        p = self.p
-        while row:
-            lead = min(row)
-            existing = self._pivots.get(lead)
-            if existing is None:
-                inv = pow(row[lead], -1, p)
-                self._pivots[lead] = {j: (c * inv) % p for j, c in row.items()}
-                if transform is not None:
-                    self._transforms[lead] = {k: (c * inv) % p for k, c in transform.items()}
-                return
-            factor = row[lead]
-            add_scaled(row, -factor, existing, p)
-            if transform is not None:
-                add_scaled(transform, -factor, self._transforms[lead], p)
 
     def _back_substitute(self) -> None:
         """Clear every pivot column above its pivot, transforms alongside; once."""

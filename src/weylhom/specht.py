@@ -12,10 +12,18 @@ That solve needs no elimination: tabloids are indexed in row-word order, and
 the lowest tabloid of e_t is the tabloid of t itself, with coefficient 1
 (James, section 8), so the standard polytabloids form a unitriangular basis
 and `gfp.reduce_lowest` solves against it term by term.  Every unit lead is
-checked when the module is built.  Hom dimensions are cut out by the
-intertwiner equations for those generators.  For odd p the dimensions match
-the Weyl-side ones under the classical dictionary, which is what
-oracle_compare checks.
+checked when the module is built.
+
+Hom dimensions use two more facts from James, section 8: a Specht module is
+cyclic, generated by any one polytabloid, and s_i e_t = e_{s_i t} when i and
+i+1 share neither row nor column of t.  So a module map is fixed by the
+image v of e_{t0}, the first standard polytabloid, and a spanning tree of
+those moves carries v to every e_t.  The intertwiner equations left over
+are linear in the coordinates of v; they are built and absorbed one row at
+a time, and the solve stops once their rank is full (Hom is then 0).
+Nothing here needs p odd.  For odd p the dimensions match the Weyl-side
+ones under the classical dictionary, which is what oracle_compare checks,
+and only there is p = 2 refused.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import config
-from .gfp import MatrixGFp, add_scaled, check_prime, reduce_lowest
+from .gfp import absorb_row, add_scaled, check_prime, reduce_lowest
 from .homspace import hom_dim
 from .shapes import partition
 
@@ -211,16 +219,56 @@ def specht_rep(lam, p: int) -> SpechtRep:
     return SpechtRep(lam, p, f, tuple(gens))
 
 
+def _sparse_columns(rep: SpechtRep) -> list[list[list[tuple[int, int]]]]:
+    """cols[i][b]: the nonzero (c, coefficient) of s_{i+1} e_b, from rep.gens."""
+    f = rep.dim
+    return [[[(c, g[c][b]) for c in range(f) if g[c][b]] for b in range(f)] for g in rep.gens]
+
+
+def _spanning_tree(lam, cols) -> tuple[list[int], dict[int, tuple[int, int] | None]]:
+    """A spanning tree of the standard tableaux of lam, from the first one,
+    t0, by the moves s_{i+1} e_b = e_c (c != b) that Young's rule gives when
+    i+1 and i+2 share neither row nor column of t_b: the columns of the
+    generators, in `_sparse_columns` form, that are a unit vector with
+    coefficient 1 at another index.  Returns the tableau indices in
+    breadth-first order and, for each, its tree edge (i, b), None for t0.
+    ArithmeticError if some standard tableau is not reached."""
+    f = len(cols[0]) if cols else 1
+    edge: dict[int, tuple[int, int] | None] = {0: None}
+    order = [0]
+    for b in order:
+        for i, gen_cols in enumerate(cols):
+            col = gen_cols[b]
+            if len(col) == 1 and col[0][1] == 1 and col[0][0] not in edge:
+                edge[col[0][0]] = (i, b)
+                order.append(col[0][0])
+    if len(order) != f:
+        raise ArithmeticError(
+            f"Young's-rule moves reach {len(order)} of the {f} standard tableaux of {lam}"
+        )
+    return order, edge
+
+
 def specht_hom_dim(nu, nu_prime, p: int) -> int:
-    """dim of module maps from the nu_prime Specht module to the nu one:
-    solutions X of A_g X = X B_g over the adjacent transpositions, with A the
-    nu action and B the nu_prime action.  DegreeBoundError above degree
-    WEYLHOM_SPECHT_BOUND."""
+    """dim of module maps X from the nu_prime Specht module to the nu one, at
+    any prime.  DegreeBoundError above degree WEYLHOM_SPECHT_BOUND.
+
+    The nu_prime module is cyclic, generated by e_{t0} for its first
+    standard tableau t0 (James, LNM 682, section 8), so X is fixed by
+    v = X(e_{t0}), a vector of the fa-dimensional nu module.  Along the
+    edges s_i e_b = e_c of `_spanning_tree`, X(e_c) = A_i X(e_b); so
+    X(e_t) = M_t v with M_{t0} = I and M_c = A_i M_b (A the nu action, B
+    the nu_prime action).  X is then a module map iff
+    A_i M_b v = sum_c B_i[c][b] M_c v for every i and b off the tree.  The
+    mirror of a move, s_i e_c = e_b after s_i e_b = e_c was used, gives
+    A_i times the same rows (A_i^2 = 1) and is skipped, as are repeated
+    rows.  Each row is built only when it is absorbed, with the rows of M it
+    needs, and `gfp.absorb_row` takes the rank one row at a time: at rank fa
+    only v = 0 is left, and the answer is 0 without reading the rest.
+    """
     nu = partition(nu)
     nu_prime = partition(nu_prime)
     check_prime(p)
-    if p == 2:
-        raise ValueError("the Specht-side dictionary needs p > 2")
     r = sum(nu)
     if r != sum(nu_prime):
         raise ValueError(f"degree mismatch: {nu} vs {nu_prime}")
@@ -229,17 +277,48 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
         raise DegreeBoundError(f"degree {r} exceeds oracle bound {limit}")
     rep_a = specht_rep(nu, p)
     rep_b = specht_rep(nu_prime, p)
-    fa, fb = rep_a.dim, rep_b.dim
-    rows: list[dict[int, int]] = []
-    for ga, gb in zip(rep_a.gens, rep_b.gens):
-        for a in range(fa):
-            for b in range(fb):
-                row = {c * fb + b: ga[a][c] for c in range(fa) if ga[a][c]}
-                add_scaled(row, -1, {a * fb + c: gb[c][b] for c in range(fb) if gb[c][b]}, p)
-                if row:
-                    rows.append(row)
-    matrix = MatrixGFp(len(rows), fa * fb, p, rows)
-    return fa * fb - matrix.rank()
+    fa = rep_a.dim
+    a_rows = [[[(k, c) for k, c in enumerate(row) if c] for row in g] for g in rep_a.gens]
+    b_cols = _sparse_columns(rep_b)
+    order, edge = _spanning_tree(nu_prime, b_cols)
+    tree = set(edge.values())
+    pos = {t: n for n, t in enumerate(order)}
+    m_rows: dict[tuple[int, int], dict[int, int]] = {}
+
+    def m_row(t, a):
+        """Row a of M_t, as a sparse vector over the coordinates of v."""
+        row = m_rows.get((t, a))
+        if row is None:
+            if edge[t] is None:
+                row = {a: 1}
+            else:
+                i, b = edge[t]
+                row = {}
+                for k, c in a_rows[i][a]:
+                    add_scaled(row, c, m_row(b, k), p)
+            m_rows[t, a] = row
+        return row
+
+    pivots: dict[int, dict[int, int]] = {}
+    seen = set()  # rows already absorbed; membership only
+    for b in order:
+        for i, a_gen in enumerate(a_rows):
+            col = b_cols[i][b]
+            if (i, b) in tree or (len(col) == 1 and col[0][1] == 1 and pos[col[0][0]] < pos[b]):
+                continue
+            for a in range(fa):
+                row: dict[int, int] = {}
+                for k, c in a_gen[a]:
+                    add_scaled(row, c, m_row(b, k), p)
+                for t, c in col:
+                    add_scaled(row, -c, m_row(t, a), p)
+                key = frozenset(row.items())
+                if not row or key in seen:
+                    continue
+                seen.add(key)
+                if absorb_row(pivots, row, p) and len(pivots) == fa:
+                    return 0
+    return fa - len(pivots)
 
 
 # Orientation of the dictionary between the two sides, pinned empirically
@@ -248,8 +327,17 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
 # lam one, i.e. specht_hom_dim(lam, mu, p).
 
 
+def check_dictionary_prime(p: int) -> None:
+    """The dictionary between the two sides is asserted for odd p only;
+    ValueError at p = 2, where specht_hom_dim still computes."""
+    if check_prime(p) == 2:
+        raise ValueError("the Specht-side dictionary needs p > 2")
+
+
 def oracle_compare(lam, mu, p: int) -> bool:
-    """True iff the Weyl-side dimension matches the symmetric-group side."""
+    """True iff the Weyl-side dimension matches the symmetric-group side;
+    ValueError at p = 2 (see check_dictionary_prime)."""
+    check_dictionary_prime(p)
     weyl = hom_dim(lam, mu, p)[0]
     specht = specht_hom_dim(lam, mu, p)
     return weyl == specht

@@ -15,6 +15,9 @@ checked against a brute-force dealing that shares nothing with it
 `reference_specht_gens` is the Specht oracle's brute-force construction: a
 fresh polytabloid and an `Echelon.solve` for every adjacent transposition
 and standard tableau, with no use of Young's rule.
+`reference_specht_hom_dim` is the oracle's earlier Hom solve: the full
+intertwiner system in all fa * fb entries of X, with no cyclic generator,
+spanning tree or early stop.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import itertools
 
 import pytest
 
-from weylhom.gfp import Echelon, MatrixGFp, check_prime
+from weylhom.gfp import Echelon, MatrixGFp, add_scaled, check_prime
 from weylhom.polyalg import dp_comult, dp_mult, dprime, mono, mono_degree
 from weylhom.shapes import partition
-from weylhom.specht import standard_young_tableaux
+from weylhom.specht import specht_rep, standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
 from weylhom.weyl import realize
 
@@ -278,6 +281,29 @@ def reference_specht_gens(lam, p: int) -> tuple:
         # cols[c][row]: coordinate of s_i e_{t_c}; store as row-major matrix
         gens.append(tuple(tuple(cols[c][row] for c in range(f)) for row in range(f)))
     return tuple(gens)
+
+
+def reference_specht_hom_dim(nu, nu_prime, p: int) -> int:
+    """dim of module maps from the nu_prime Specht module to the nu one, by
+    the full intertwiner system: solutions X of A_g X = X B_g over the
+    adjacent transpositions, in all fa * fb entries of X, with A the nu
+    action and B the nu_prime action.  No degree bound and any prime."""
+    nu = partition(nu)
+    nu_prime = partition(nu_prime)
+    check_prime(p)
+    rep_a = specht_rep(nu, p)
+    rep_b = specht_rep(nu_prime, p)
+    fa, fb = rep_a.dim, rep_b.dim
+    rows: list[dict[int, int]] = []
+    for ga, gb in zip(rep_a.gens, rep_b.gens):
+        for a in range(fa):
+            for b in range(fb):
+                row = {c * fb + b: ga[a][c] for c in range(fa) if ga[a][c]}
+                add_scaled(row, -1, {a * fb + c: gb[c][b] for c in range(fb) if gb[c][b]}, p)
+                if row:
+                    rows.append(row)
+    matrix = MatrixGFp(len(rows), fa * fb, p, rows)
+    return fa * fb - matrix.rank()
 
 
 def assert_canonical(tab: Tableau) -> None:

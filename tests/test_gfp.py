@@ -10,6 +10,7 @@ from weylhom.gfp import (
     InconsistentSystemError,
     MatrixGFp,
     NonPrimeModulusError,
+    absorb_row,
     add_scaled,
     binom_mod,
     is_prime,
@@ -156,6 +157,30 @@ def test_echelon_solve_detects_inconsistency():
     ech = Echelon(m, with_transform=True)
     with pytest.raises(InconsistentSystemError):
         ech.solve({0: 1, 1: 2})
+
+
+def test_absorb_row_is_a_streaming_rank():
+    # rows absorbed one at a time in their given order: each call says
+    # whether it added a pivot, the count after every prefix is that
+    # prefix's rank, and every stored pivot has its lead as lowest key,
+    # with coefficient 1
+    rng = random.Random(31)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7])
+        ncols = rng.randrange(1, 7)
+        rows = [
+            {j: v for j in range(ncols) if (v := rng.randrange(p)) and rng.random() < 0.5}
+            for _ in range(rng.randrange(0, 10))
+        ]
+        pivots: dict = {}
+        for n, row in enumerate(rows, start=1):
+            before = len(pivots)
+            added = absorb_row(pivots, dict(row), p)
+            assert len(pivots) == before + added
+            prefix = MatrixGFp(n, ncols, p, [dict(r) for r in rows[:n]])
+            assert len(pivots) == Echelon(prefix).rank
+        for lead, pivot in pivots.items():
+            assert min(pivot) == lead and pivot[lead] == 1
 
 
 def test_reduce_lowest_on_random_unitriangular_bases():

@@ -4,7 +4,9 @@ one-pass exterior realization replaced the sort-and-sign pass, and both
 reach exterior solves.  The enumeration digest was recorded before the
 horizontal-strip enumerator replaced the row-by-row one.  The Specht digest
 was recorded before Young's rule replaced a fresh polytabloid and a solve
-for every adjacent transposition and standard tableau.  A change that
+for every adjacent transposition and standard tableau.  The Specht Hom
+digest was recorded before the Hom solve on one cyclic generator replaced
+the full intertwiner system in all fa * fb entries.  A change that
 alters any of these outputs on purpose must say why and re-record."""
 
 import hashlib
@@ -15,13 +17,14 @@ import weylhom.cli as cli
 from conftest import compositions_of
 from weylhom.homspace import hom_dim
 from weylhom.shapes import all_partitions, composition
-from weylhom.specht import specht_rep
+from weylhom.specht import specht_hom_dim, specht_rep
 from weylhom.tableaux import enumerate_standard
 
 SCAN_DIGEST = "01ec56f0a00e6a402b8acecf881320d9c41c422b11949c205fba1837163b8745"
 HOM_DEG7_P2_DIGEST = "67e66951753988c68b0e4396b901a8fc7fa9e39b8f468df4f46937f88195a59f"
 ENUMERATE_DIGEST = "81c50d554ebcee6595fb1e286b7ca80b88f882d69cca0f7a65ba1fea9933fa17"
 SPECHT_GENS_DIGEST = "10aa92b45bbb1097ae92aab7e32db47989fd7d4a3524dea09a61bf4a0715660e"
+SPECHT_HOM_DIGEST = "2319d93b4cb053f0a23331b0e21ac15d6be0e0c386ffe12c8a6de1679247d0f1"
 
 
 @pytest.fixture(autouse=True)
@@ -78,3 +81,17 @@ def test_specht_generators_are_unchanged():
                 rep = specht_rep(lam, p)
                 digest.update(repr((rep.lam, p, rep.dim, rep.gens)).encode())
     assert digest.hexdigest() == SPECHT_GENS_DIGEST
+
+
+def test_specht_hom_dims_are_unchanged():
+    # the oracle's Hom dimension for every ordered pair of shapes of degree
+    # 1..7 at p in {3, 5, 7}: 1,302 pairs
+    digest = hashlib.sha256()
+    for r in range(1, 8):
+        shapes = all_partitions(r)
+        for p in (3, 5, 7):
+            for nu in shapes:
+                for nu_prime in shapes:
+                    dim = specht_hom_dim(nu, nu_prime, p)
+                    digest.update(repr((nu, nu_prime, p, dim)).encode())
+    assert digest.hexdigest() == SPECHT_HOM_DIGEST

@@ -1,12 +1,13 @@
 import pytest
 
 import weylhom.specht as specht
-from conftest import reference_specht_gens
+from conftest import reference_specht_gens, reference_specht_hom_dim
 from weylhom.gfp import add_scaled
 from weylhom.homspace import hom_dim
 from weylhom.shapes import all_partitions, partition, transpose
 from weylhom.specht import (
     DegreeBoundError,
+    SpechtRep,
     oracle_compare,
     specht_hom_dim,
     specht_rep,
@@ -226,8 +227,9 @@ def test_oracle_compare_exhaustive_small():
 
 
 def test_p_two_rejected_and_degree_bound(monkeypatch):
-    with pytest.raises(ValueError):
-        specht_hom_dim((2, 1), (3,), 2)
+    # the dictionary is asserted for odd p only; the Hom solve itself runs at p = 2
+    with pytest.raises(ValueError, match="p > 2"):
+        oracle_compare((2, 1), (3,), 2)
     with pytest.raises(DegreeBoundError):
         specht_hom_dim((8,), (8,), 3)
     monkeypatch.setenv("WEYLHOM_SPECHT_BOUND", "8")
@@ -251,3 +253,60 @@ def test_lowered_bound_applies_to_cached_modules(monkeypatch):
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         specht_hom_dim((2, 1), (2,), 3)
+
+
+def test_hom_dims_at_p_two():
+    # maps S^(1,1) -> S^(2) exist at p = 2 (the sign and trivial modules
+    # coincide), and none S^(3,1) -> S^(4): the degree-2 witness that
+    # Specht-side Hom spaces need not stabilize at p = 2
+    assert specht_hom_dim((2,), (1, 1), 2) == 1
+    assert specht_hom_dim((4,), (3, 1), 2) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hom_dim_matches_full_intertwiner_system(p):
+    # the cyclic-generator solve against all fa * fb entries of X, on every
+    # pair of degree <= 6
+    for r in range(0, 7):
+        shapes = all_partitions(r)
+        for nu in shapes:
+            for nu_prime in shapes:
+                expected = reference_specht_hom_dim(nu, nu_prime, p)
+                assert specht_hom_dim(nu, nu_prime, p) == expected, (nu, nu_prime, p)
+
+
+def test_spanning_tree_reaches_every_standard_tableau():
+    # every shape of degree <= 8 (at p = 2, where same-column moves are
+    # diagonal units and must not be taken): the tree reaches every
+    # standard tableau, and each edge is the move t -> s_{i+1} t of Young's rule
+    for r in range(0, 9):
+        for lam in all_partitions(r):
+            rep = specht_rep(lam, 2)
+            syts = standard_young_tableaux(lam)
+            order, edge = specht._spanning_tree(lam, specht._sparse_columns(rep))
+            assert sorted(order) == list(range(rep.dim)) and order[0] == 0, lam
+            for c, e in edge.items():
+                if e is None:
+                    assert c == 0
+                    continue
+                i, b = e
+                swap = {i + 1: i + 2, i + 2: i + 1}
+                moved = tuple(tuple(swap.get(v, v) for v in row) for row in syts[b])
+                assert moved == syts[c], (lam, i, syts[b])
+
+
+def test_tree_without_moves_is_an_error(monkeypatch):
+    # generators with no off-diagonal unit column leave only t0 reachable:
+    # the solve must raise, never return a dimension
+    real = specht.specht_rep
+
+    def no_moves(lam, p):
+        rep = real(lam, p)
+        ident = tuple(tuple(int(j == k) for k in range(rep.dim)) for j in range(rep.dim))
+        return SpechtRep(rep.lam, rep.p, rep.dim, tuple(ident for _ in rep.gens))
+
+    monkeypatch.setattr(specht, "specht_rep", no_moves)
+    with pytest.raises(ArithmeticError, match=r"reach 1 of the 2 standard tableaux of \(2, 1\)"):
+        specht_hom_dim((2, 1), (2, 1), 3)
+    # a one-tableau source needs no move
+    assert specht_hom_dim((3,), (3,), 3) == 1
