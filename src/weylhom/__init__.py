@@ -9,7 +9,6 @@ from .gfp import (
     MatrixGFp,
     NonPrimeModulusError,
     binom_mod,
-    multinomial_mod,
 )
 from .homspace import (
     HomElement,
@@ -20,17 +19,8 @@ from .homspace import (
     stabilize_hom,
     verify_stabilization,
 )
-from .polyalg import ExpansionLimitError, dp_comult, dp_mult, dprime, mono
-from .shapes import (
-    all_partitions,
-    composition,
-    dominates,
-    parse_partition,
-    partition,
-    stabilize,
-    transpose,
-    weyl_dimension,
-)
+from .polyalg import ExpansionLimitError, dprime, mono
+from .shapes import all_partitions, composition, parse_partition, partition, stabilize
 from .specht import oracle_compare, specht_hom_dim, specht_rep
 from .tableaux import Tableau, enumerate_standard, from_row_entries
 from .weyl import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -122,6 +123,12 @@ def cmd_verify(args) -> int:
     lam, mu = _parse_common(args)
     _check_nonnegative("-k", [args.k])
     _check_nonnegative("-d", [args.d])
+    # the report prints the stabilized first rows: refuse one past Python's
+    # int-to-str limit (0 or absent: none), before raising p to a huge d
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    top = max(lam[:1] + mu[:1], default=0)
+    if args.k and limit and (args.d * math.log10(args.p) > limit or top + args.k * args.p**args.d >= 10**limit):
+        raise CliError(f"k*p^d = {args.k}*{args.p}^{args.d} is too large: a first row would exceed {limit} digits")
     report = _verify_report(lam, mu, args.p, args.k, args.d)
     flags = report["hypotheses"]
     lines = [
@@ -294,6 +301,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, config.ConfigError, StraighteningLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input too deep: Python's recursion limit was reached", file=sys.stderr)
         return 1
 
 

@@ -80,16 +80,6 @@ def binom_mod(a: int, b: int, p: int) -> int:
     return result
 
 
-def multinomial_mod(parts, p: int) -> int:
-    """(sum parts)! / prod(parts!) mod p, as a product of binomials over prefix sums."""
-    total = 0
-    result = 1
-    for part in parts:
-        total += part
-        result = (result * binom_mod(total, part, p)) % p
-    return result
-
-
 def add_scaled(dst: dict, factor: int, src: dict, p: int) -> None:
     """dst += factor * src over GF(p), in place, for sparse vectors stored as
     {key: nonzero residue}; entries that cancel are removed from dst."""
@@ -164,31 +154,9 @@ class MatrixGFp:
         self.p = p
         self.rows: list[dict[int, int]] = [dict() for _ in range(nrows)] if rows is None else rows
 
-    def set(self, i: int, j: int, value: int) -> None:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError((i, j))
-        v = value % self.p
-        if v:
-            self.rows[i][j] = v
-        else:
-            self.rows[i].pop(j, None)
-
-    @classmethod
-    def from_dense(cls, entries, p: int) -> "MatrixGFp":
-        nrows = len(entries)
-        ncols = len(entries[0]) if nrows else 0
-        m = cls(nrows, ncols, p)
-        for i, row in enumerate(entries):
-            for j, v in enumerate(row):
-                m.set(i, j, v)
-        return m
-
     def mul_vec(self, v) -> list[int]:
         p = self.p
         return [sum(c * v[j] for j, c in row.items()) % p for row in self.rows]
-
-    def rank(self) -> int:
-        return Echelon(self).rank
 
     def kernel_basis(self) -> list[list[int]]:
         return Echelon(self).kernel_basis()

@@ -2,17 +2,14 @@
 realization map sending a shape-mu tensor into the column wedge space.
 
 Monomials are tuples of (entry, exponent) pairs with entries ascending, so
-1^(3)2^(2)4 is ((1, 3), (2, 2), (4, 1)).  Multiplication of divided powers
-x^(a) x^(b) = C(a+b, a) x^(a+b) is the only source of coefficients;
-comultiplication splits exponents coefficient-free.
+1^(3)2^(2)4 is ((1, 3), (2, 2), (4, 1)).  Comultiplication splits
+exponents coefficient-free.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-
-from .gfp import binom_mod
 
 Monomial = tuple[tuple[int, int], ...]
 ExtMonomial = tuple[tuple[int, ...], ...]
@@ -37,21 +34,6 @@ def mono(items) -> Monomial:
 
 def mono_degree(m: Monomial) -> int:
     return sum(c for _, c in m)
-
-
-def dp_mult(m1: Monomial, m2: Monomial, p: int) -> tuple[int, Monomial]:
-    """Product in the divided power algebra: exponents add, coefficient is the
-    product over entries of C(e1+e2, e1)."""
-    coeff = 1
-    counts = dict(m1)
-    for e, c in m2:
-        have = counts.get(e, 0)
-        if have:
-            coeff = (coeff * binom_mod(have + c, c, p)) % p
-            if coeff == 0:
-                return 0, ()
-        counts[e] = have + c
-    return coeff, tuple(sorted(counts.items()))
 
 
 def bounded_compositions(total: int, caps) -> list[tuple[int, ...]]:

@@ -1,8 +1,6 @@
-"""Partitions, compositions (weights), dominance, and first-row stabilization."""
+"""Partitions, compositions (weights), and first-row stabilization."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .gfp import check_prime
 
@@ -30,34 +28,6 @@ def composition(parts) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def transpose(lam) -> tuple[int, ...]:
-    """Column lengths of the diagram: transpose(lam)[j] = #{i : lam_i >= j+1}."""
-    lam = partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part >= j) for j in range(1, lam[0] + 1))
-
-
-def dominates(mu, lam) -> bool:
-    """True iff every prefix sum of mu covers the one of lam (sorted decreasingly).
-
-    This is the nonemptiness criterion for weight-lam column-strict fillings
-    of shape mu.  Degrees must agree.
-    """
-    mu = partition(mu)
-    lam_sorted = tuple(sorted((int(v) for v in lam), reverse=True))
-    if sum(mu) != sum(lam_sorted):
-        raise ValueError(f"degree mismatch: {mu} vs {tuple(lam)}")
-    total_mu = 0
-    total_lam = 0
-    for j in range(max(len(mu), len(lam_sorted))):
-        total_mu += mu[j] if j < len(mu) else 0
-        total_lam += lam_sorted[j] if j < len(lam_sorted) else 0
-        if total_mu < total_lam:
-            return False
-    return True
 
 
 def stabilize(lam, k: int, d: int, p: int) -> tuple[int, ...]:
@@ -91,20 +61,6 @@ def all_partitions(r: int) -> list[tuple[int, ...]]:
 
     rec(r, r, [])
     return out
-
-
-def weyl_dimension(mu, n: int) -> int:
-    """Classical product formula for dim of the highest-weight module of weight mu for GL_n."""
-    mu = partition(mu)
-    if len(mu) > n:
-        raise ValueError(f"{mu} has more than n={n} parts")
-    padded = mu + (0,) * (n - len(mu))
-    result = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            result *= Fraction(padded[i] - padded[j] + j - i, j - i)
-    assert result.denominator == 1
-    return int(result)
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

@@ -167,15 +167,21 @@ class SpechtRep:
     gens: tuple[tuple[tuple[int, ...], ...], ...]  # gens[i] = matrix of s_{i+1}
 
 
-@lru_cache(maxsize=None)
 def specht_rep(lam, p: int) -> SpechtRep:
     """The Specht module of lam over GF(p), at any degree: the bound
-    WEYLHOM_SPECHT_BOUND is checked by specht_hom_dim, on every call.
+    WEYLHOM_SPECHT_BOUND is checked by specht_hom_dim, on every call.  The
+    shape is canonicalized before the cache (`cache_info`, `cache_clear`) is
+    consulted, so any spelling of a shape shares one entry."""
+    return _specht_rep(partition(lam), p)
+
+
+@lru_cache(maxsize=None)
+def _specht_rep(lam, p: int) -> SpechtRep:
+    """specht_rep on a canonical shape.
 
     The column of s_i for a standard t comes from Young's rule (see the module
     docstring); each shortcut column is checked against the relabelled vector,
     and each solve must reduce the relabelled vector to exactly zero."""
-    lam = partition(lam)
     check_prime(p)
     r = sum(lam)
     syts = standard_young_tableaux(lam)
@@ -217,6 +223,10 @@ def specht_rep(lam, p: int) -> SpechtRep:
         # cols[c][row]: coordinate of s_i e_{t_c}; store as row-major matrix
         gens.append(tuple(tuple(cols[c][row] for c in range(f)) for row in range(f)))
     return SpechtRep(lam, p, f, tuple(gens))
+
+
+specht_rep.cache_info = _specht_rep.cache_info
+specht_rep.cache_clear = _specht_rep.cache_clear
 
 
 def _sparse_columns(rep: SpechtRep) -> list[list[list[tuple[int, int]]]]:

@@ -79,13 +79,6 @@ class WeylCoords:
     p: int
     coeffs: dict[Tableau, int] = field(default_factory=dict)
 
-    def vector(self) -> list[int]:
-        std = enumerate_standard(self.shape, self.weight)
-        return [self.coeffs.get(t, 0) for t in std]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
 
 class WeylContext:
     """Straightening engine for one (shape, p), with memoized expansions."""

@@ -18,20 +18,105 @@ and standard tableau, with no use of Young's rule.
 `reference_specht_hom_dim` is the oracle's earlier Hom solve: the full
 intertwiner system in all fa * fb entries of X, with no cyclic generator,
 spanning tree or early stop.
+
+The reference implementations the library itself never runs live here too:
+dense and entrywise matrix construction (`from_dense`, `set_entry`), the
+divided-power product `dp_mult`, and on partitions `transpose`, `dominates`
+and the Weyl dimension formula `weyl_dimension`.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from weylhom.gfp import Echelon, MatrixGFp, add_scaled, check_prime
-from weylhom.polyalg import dp_comult, dp_mult, dprime, mono, mono_degree
+from weylhom.gfp import Echelon, MatrixGFp, add_scaled, binom_mod, check_prime
+from weylhom.polyalg import Monomial, dp_comult, dprime, mono, mono_degree
 from weylhom.shapes import partition
 from weylhom.specht import specht_rep, standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
 from weylhom.weyl import realize
+
+
+def set_entry(m: MatrixGFp, i: int, j: int, value: int) -> None:
+    """Store value mod p at (i, j) of m, dropping the entry when it is zero."""
+    if not (0 <= i < m.nrows and 0 <= j < m.ncols):
+        raise IndexError((i, j))
+    v = value % m.p
+    if v:
+        m.rows[i][j] = v
+    else:
+        m.rows[i].pop(j, None)
+
+
+def from_dense(entries, p: int) -> MatrixGFp:
+    """The matrix with the given rows of entries, each reduced mod p."""
+    nrows = len(entries)
+    ncols = len(entries[0]) if nrows else 0
+    m = MatrixGFp(nrows, ncols, p)
+    for i, row in enumerate(entries):
+        for j, v in enumerate(row):
+            set_entry(m, i, j, v)
+    return m
+
+
+def dp_mult(m1: Monomial, m2: Monomial, p: int) -> tuple[int, Monomial]:
+    """Product in the divided power algebra: exponents add, coefficient is the
+    product over entries of C(e1+e2, e1)."""
+    coeff = 1
+    counts = dict(m1)
+    for e, c in m2:
+        have = counts.get(e, 0)
+        if have:
+            coeff = (coeff * binom_mod(have + c, c, p)) % p
+            if coeff == 0:
+                return 0, ()
+        counts[e] = have + c
+    return coeff, tuple(sorted(counts.items()))
+
+
+def transpose(lam) -> tuple[int, ...]:
+    """Column lengths of the diagram: transpose(lam)[j] = #{i : lam_i >= j+1}."""
+    lam = partition(lam)
+    if not lam:
+        return ()
+    return tuple(sum(1 for part in lam if part >= j) for j in range(1, lam[0] + 1))
+
+
+def dominates(mu, lam) -> bool:
+    """True iff every prefix sum of mu covers the one of lam (sorted decreasingly).
+
+    This is the nonemptiness criterion for weight-lam column-strict fillings
+    of shape mu.  Degrees must agree.
+    """
+    mu = partition(mu)
+    lam_sorted = tuple(sorted((int(v) for v in lam), reverse=True))
+    if sum(mu) != sum(lam_sorted):
+        raise ValueError(f"degree mismatch: {mu} vs {tuple(lam)}")
+    total_mu = 0
+    total_lam = 0
+    for j in range(max(len(mu), len(lam_sorted))):
+        total_mu += mu[j] if j < len(mu) else 0
+        total_lam += lam_sorted[j] if j < len(lam_sorted) else 0
+        if total_mu < total_lam:
+            return False
+    return True
+
+
+def weyl_dimension(mu, n: int) -> int:
+    """Classical product formula for dim of the highest-weight module of weight mu for GL_n."""
+    mu = partition(mu)
+    if len(mu) > n:
+        raise ValueError(f"{mu} has more than n={n} parts")
+    padded = mu + (0,) * (n - len(mu))
+    result = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            result *= Fraction(padded[i] - padded[j] + j - i, j - i)
+    assert result.denominator == 1
+    return int(result)
 
 
 def distinct_permutations(items):
@@ -108,7 +193,7 @@ def reference_straighten(mu, tab: Tableau, p: int) -> dict[Tableau, int]:
     matrix = MatrixGFp(len(keys), len(std), p)
     for col, img in enumerate(images):
         for k, v in img.items():
-            matrix.set(index[k], col, v)
+            set_entry(matrix, index[k], col, v)
     solution = Echelon(matrix, with_transform=True).solve(
         {index[k]: v for k, v in target.items()}
     )
@@ -126,7 +211,7 @@ def standard_image_matrix(mu, alpha, p: int) -> MatrixGFp:
     matrix = MatrixGFp(len(keys), len(images), p)
     for col, img in enumerate(images):
         for k, v in img.items():
-            matrix.set(index[k], col, v)
+            set_entry(matrix, index[k], col, v)
     return matrix
 
 
@@ -267,7 +352,7 @@ def reference_specht_gens(lam, p: int) -> tuple:
     basis_matrix = MatrixGFp(len(tabloids), f, p)
     for col, t in enumerate(syts):
         for idx, v in _reference_polytabloid(t, p, tabloid_index).items():
-            basis_matrix.set(idx, col, v)
+            set_entry(basis_matrix, idx, col, v)
     ech = Echelon(basis_matrix, with_transform=True)
     if ech.rank != f:
         raise ArithmeticError(f"standard polytabloids of {lam} are dependent mod {p}")
@@ -303,7 +388,7 @@ def reference_specht_hom_dim(nu, nu_prime, p: int) -> int:
                 if row:
                     rows.append(row)
     matrix = MatrixGFp(len(rows), fa * fb, p, rows)
-    return fa * fb - matrix.rank()
+    return fa * fb - Echelon(matrix).rank
 
 
 def assert_canonical(tab: Tableau) -> None:

@@ -14,10 +14,11 @@ from conftest import (
     kostka_bruteforce,
     reference_straighten,
     standard_image_matrix,
+    weyl_dimension,
 )
-from weylhom.gfp import binom_mod
+from weylhom.gfp import Echelon, binom_mod
 from weylhom.homspace import hom_dim, phi_eval_terms, verify_stabilization
-from weylhom.shapes import all_partitions, parse_partition, weyl_dimension
+from weylhom.shapes import all_partitions, parse_partition
 from weylhom.tableaux import Tableau, enumerate_standard
 from weylhom.weyl import get_context, relation_generators
 import weylhom.weyl as weyl_module
@@ -169,7 +170,7 @@ def test_criterion_07_standard_basis_integrity():
         for mu in shapes:
             for alpha in shapes:
                 m = standard_image_matrix(mu, alpha, 3)
-                assert m.rank() == m.ncols, (mu, alpha)
+                assert Echelon(m).rank == m.ncols, (mu, alpha)
                 rank_checks += 1
             n = max(5, len(mu))
             total = 0
@@ -183,7 +184,7 @@ def test_criterion_07_standard_basis_integrity():
         mu = rng.choice(all_partitions(r))
         alpha = rng.choice(compositions_of(r, rng.randrange(1, 6)))
         m = standard_image_matrix(mu, alpha, 3)
-        assert m.rank() == m.ncols == kostka_bruteforce(mu, alpha), (mu, alpha)
+        assert Echelon(m).rank == m.ncols == kostka_bruteforce(mu, alpha), (mu, alpha)
         rank_checks += 1
     _report(7, f"{rank_checks} full-rank checks and 22+ dimension censuses", start)
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -134,6 +135,39 @@ def test_verify_rejects_negative_k_and_d(capsys):
         )
         assert code == 1 and out == ""
         assert err == f"error: {flag} must be nonnegative, got -1\n"
+
+
+def test_deep_input_exits_one_with_one_line(capsys):
+    # the strip enumeration recurses once per weight entry, so 1200 of them
+    # pass Python's recursion limit
+    code, out, err = run(capsys, "dim", "-p", "3", "--lambda", "1^1200", "--mu", "1200")
+    assert code == 1 and out == ""
+    assert err == "error: input too deep: Python's recursion limit was reached\n"
+
+
+def test_verify_refuses_a_first_row_too_long_to_print(capsys, monkeypatch):
+    # 3^10000 has 4772 digits, past Python's default int-to-str limit of 4300,
+    # so the report could not print the stabilized rows: refused before any work
+    def never(*args):
+        raise AssertionError("verify_stabilization ran")
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    monkeypatch.setattr(cli, "verify_stabilization", never)
+    code, out, err = run(capsys, "verify", "-p", "3", "--lambda", "2,1", "--mu", "3", "-d", "10000")
+    assert code == 1 and out == ""
+    assert err == "error: k*p^d = 1*3^10000 is too large: a first row would exceed 4300 digits\n"
+
+
+@pytest.mark.parametrize("k, d", [("1", "3000"), ("0", "10000")])
+def test_verify_prints_long_first_rows_within_the_limit(capsys, k, d):
+    # 3^3000 has 1432 digits; with k = 0 nothing is added whatever d is
+    code, report = run_json(
+        capsys, "verify", "-p", "3", "--lambda", "2,1", "--mu", "3", "-k", k, "-d", d,
+        "--format", "json",
+    )
+    assert code == 0
+    assert report["lambda_plus"] == [2 + int(k) * 3 ** int(d), 1]
+    assert report["dim"] == report["dim_plus"] == 1
 
 
 def test_scan_rejects_negative_k_and_d(capsys):

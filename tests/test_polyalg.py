@@ -5,12 +5,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import compositions_of, distinct_permutations
+from conftest import compositions_of, distinct_permutations, dp_mult
 from weylhom.polyalg import (
     ExpansionLimitError,
     bounded_compositions,
     dp_comult,
-    dp_mult,
     dprime,
     mono,
     mono_degree,

@@ -2,16 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dominates, transpose, weyl_dimension
 from weylhom.shapes import (
     all_partitions,
     composition,
-    dominates,
     format_partition,
     parse_partition,
     partition,
     stabilize,
-    transpose,
-    weyl_dimension,
 )
 
 

@@ -1,10 +1,10 @@
 import pytest
 
 import weylhom.specht as specht
-from conftest import reference_specht_gens, reference_specht_hom_dim
+from conftest import reference_specht_gens, reference_specht_hom_dim, transpose
 from weylhom.gfp import add_scaled
 from weylhom.homspace import hom_dim
-from weylhom.shapes import all_partitions, partition, transpose
+from weylhom.shapes import all_partitions, partition
 from weylhom.specht import (
     DegreeBoundError,
     SpechtRep,
@@ -57,6 +57,18 @@ def test_trivial_and_sign_modules():
 def test_two_one_over_gf3():
     rep = specht_rep((2, 1), 3)
     assert rep.dim == 2
+
+
+def test_specht_rep_canonicalizes_its_shape_before_the_cache():
+    # a list is no hashable key, and a trailing zero spells the same shape:
+    # all three spellings share one cache entry
+    rep = specht_rep([2, 1], 3)
+    assert rep.lam == (2, 1)
+    assert specht_rep((2, 1, 0), 3) is rep is specht_rep((2, 1), 3)
+    info = specht_rep.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    specht.clear_caches()
+    assert specht_rep.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("p", [3, 5])

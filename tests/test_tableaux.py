@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from conftest import assert_canonical, compositions_of, is_class_a, kostka_bruteforce
-from weylhom.shapes import all_partitions, composition, dominates, weyl_dimension
+from conftest import (
+    assert_canonical,
+    compositions_of,
+    dominates,
+    is_class_a,
+    kostka_bruteforce,
+    weyl_dimension,
+)
+from weylhom.shapes import all_partitions, composition
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
 
 
