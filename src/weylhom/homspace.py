@@ -123,7 +123,7 @@ def stabilize_hom(h: HomElement, k: int, d: int) -> HomElement:
     lam1 = lam[0] if lam else 0
     if mu2 > lam1:
         raise ValueError(f"transport needs mu_2 <= lambda_1, got {mu2} > {lam1}")
-    m = k * p**d
+    m = k * p**d if k else 0
     lam_plus = stabilize(lam, k, d, p)
     mu_plus = stabilize(mu, k, d, p)
     std = enumerate_standard(mu, lam)
@@ -148,6 +148,17 @@ def _in_reduced_span(v, kernel, p: int) -> bool:
         if v[free]:
             add_scaled(acc, v[free], {j: x for j, x in enumerate(b) if x}, p)
     return acc == {j: x for j, x in enumerate(v) if x}
+
+
+def _power_exceeds(p: int, d: int, bound: int) -> bool:
+    """Whether p^d > bound, without computing p^d: the product stops growing
+    once it passes the bound, after at most log2(bound) + 1 steps."""
+    power = 1
+    for _ in range(d):
+        if power > bound:
+            break
+        power *= p
+    return power > bound
 
 
 @dataclass(frozen=True)
@@ -207,7 +218,7 @@ def verify_stabilization(lam, mu, p: int, k: int, d: int) -> StabilizationReport
     lam2 = lam[1] if len(lam) > 1 else 0
     mu1 = mu[0] if mu else 0
     mu2 = mu[1] if len(mu) > 1 else 0
-    hyp_power = p**d > min(lam2, mu1 - lam1)
+    hyp_power = _power_exceeds(p, d, min(lam2, mu1 - lam1))
     hyp_overlap = mu2 <= lam1
     dim, basis = hom_dim(lam, mu, p)
     dim_plus, basis_plus = hom_dim(lam_plus, mu_plus, p)

@@ -36,9 +36,9 @@ def stabilize(lam, k: int, d: int, p: int) -> tuple[int, ...]:
     if k < 0 or d < 0:
         raise ValueError("k and d must be nonnegative")
     lam = partition(lam)
-    m = k * p**d
-    if m == 0:
+    if k == 0:  # nothing is added, however large p^d is
         return lam
+    m = k * p**d
     if not lam:
         return (m,)
     return (lam[0] + m,) + lam[1:]

@@ -1,15 +1,17 @@
 """Brute-force symmetric-group oracle: Specht modules via polytabloids.
 
 Entirely independent of the Weyl-module pipeline: modules are realized
-inside the tabloid permutation module over GF(p), with a tabloid stored as
-its row word (w[v-1] is the row that holds v).  Each standard polytabloid
-e_t is built once.  An adjacent transposition s_i swaps w[i-1] and w[i], so
-s_i e_t is e_t with its support relabelled, and its coordinates follow
-Young's natural action (James, LNM 682, section 8): -e_t when i and i+1
-share a column of t, e_{s_i t} when they share neither row nor column, and
-an exact solve against the standard polytabloids when they share a row.
-That solve needs no elimination: tabloids are indexed in row-word order, and
-the lowest tabloid of e_t is the tabloid of t itself, with coefficient 1
+inside the tabloid permutation module over GF(p).  A tabloid is an integer
+code: its row word w (w[v-1] is the row that holds v) read as the digits of
+a base-b number, b = max(2, number of rows), with w[0] most significant, so
+numeric order is row-word order.  Each standard polytabloid e_t is built
+once, column by column.  An adjacent transposition s_i swaps the digits of
+i and i+1, so s_i e_t is e_t with each code of its support moved by one
+table lookup, and its coordinates follow Young's natural action (James, LNM
+682, section 8): -e_t when i and i+1 share a column of t, e_{s_i t} when
+they share neither row nor column, and an exact solve against the standard
+polytabloids when they share a row.  That solve needs no elimination: the
+lowest tabloid of e_t is the tabloid of t itself, with coefficient 1
 (James, section 8), so the standard polytabloids form a unitriangular basis
 and `gfp.reduce_lowest` solves against it term by term.  Every unit lead is
 checked when the module is built.
@@ -28,9 +30,9 @@ and only there is p = 2 refused.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import config
 from .gfp import absorb_row, add_scaled, check_prime, reduce_lowest
@@ -77,83 +79,49 @@ def _row_word(tableau) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _code(word, b: int) -> int:
+    """A row word read as a base-b number, w[0] most significant: for words
+    of one length, numeric order is row-word order."""
+    code = 0
+    for i in word:
+        code = code * b + i
+    return code
+
+
 def _columns(tableau) -> list[tuple[int, ...]]:
     """The columns of a filling, top to bottom."""
     width = len(tableau[0]) if tableau else 0
     return [tuple(row[j] for row in tableau if len(row) > j) for j in range(width)]
 
 
-def _swap(word, i: int) -> tuple[int, ...]:
-    """s_i on a row word: v = i and v = i+1 trade rows."""
-    return word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :]
-
-
-def _tabloids(lam) -> list[tuple[int, ...]]:
-    """All tabloids of shape lam, as row words (row i used lam[i] times), in
-    lexicographic order."""
-    r = sum(lam)
-    left = list(lam)
-    word: list[int] = []
-    out: list[tuple[int, ...]] = []
-
-    def rec():
-        if len(word) == r:
-            out.append(tuple(word))
-            return
-        for i, n in enumerate(left):
-            if n:
-                left[i] -= 1
-                word.append(i)
-                rec()
-                word.pop()
-                left[i] += 1
-
-    rec()
-    return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _polytabloid(tableau, p, tabloid_index) -> dict[int, int]:
+def _polytabloid(tableau, p, b, signed) -> dict[int, int]:
     """e_t: the signed column-stabilizer sum of the tabloid of `tableau`, as a
-    sparse vector over the tabloid basis.  A column permutation only rewrites
-    the rows at that column's entries of the row word."""
-    word = list(_row_word(tableau))
-    column_positions = []
-    pools = []
+    sparse vector over tabloid codes (`_code`, base b).  It is a convolution
+    over the columns: a permutation q of a column's rows moves its k-th entry
+    v from row k to row q[k], which adds (q[k] - k) * b^(r-v) to the code.
+    Distinct choices give distinct tabloids, so every coefficient is +-1.
+    `signed` maps a column height to its (permutation, sign) pairs and is
+    filled here on first use."""
+    r = sum(map(len, tableau))
+    vec = {_code(_row_word(tableau), b): 1}
     for col in _columns(tableau):
-        if len(col) > 1:
-            column_positions.append([v - 1 for v in col])
-            pools.append([(q, _perm_sign(q)) for q in itertools.permutations(range(len(col)))])
-    vec: dict[int, int] = {}
-    for choice in itertools.product(*pools):
-        sign = 1
-        for positions, (rows, s) in zip(column_positions, choice):
-            sign *= s
-            for pos, i in zip(positions, rows):
-                word[pos] = i
-        idx = tabloid_index[tuple(word)]
-        v = (vec.get(idx, 0) + sign) % p
-        if v:
-            vec[idx] = v
-        else:
-            vec.pop(idx, None)
-    return vec
+        h = len(col)
+        if h < 2:
+            continue
+        if h not in signed:
+            # n inserted at position j of a permutation of range(n) lies
+            # above the n - j entries after it: n - j more inversions
+            pool = [((), 1)]
+            for n in range(h):
+                pool = [
+                    (q[:j] + (n,) + q[j:], -s if (n - j) % 2 else s) for q, s in pool for j in range(n + 1)
+                ]
+            signed[h] = pool
+        weights = [b ** (r - v) for v in col]
+        base = sum(map(mul, range(h), weights))
+        steps = [(sum(map(mul, q, weights)) - base, s) for q, s in signed[h]]
+        vec = {x + step: c * s for x, c in vec.items() for step, s in steps}
+    return {x: c % p for x, c in vec.items()}
 
 
 @dataclass(frozen=True)
@@ -184,42 +152,45 @@ def _specht_rep(lam, p: int) -> SpechtRep:
     and each solve must reduce the relabelled vector to exactly zero."""
     check_prime(p)
     r = sum(lam)
+    b = max(2, len(lam))
     syts = standard_young_tableaux(lam)
     f = len(syts)
-    tabloids = _tabloids(lam)
-    tabloid_index = {t: i for i, t in enumerate(tabloids)}
-    basis = [_polytabloid(t, p, tabloid_index) for t in syts]
-    row_words = [_row_word(t) for t in syts]
+    signed: dict[int, list] = {}
+    basis = [_polytabloid(t, p, b, signed) for t in syts]
+    codes = [_code(_row_word(t), b) for t in syts]
     leads = {}
     for c, vec in enumerate(basis):
-        lead = tabloid_index[row_words[c]]
+        lead = codes[c]
         if min(vec, default=None) != lead or vec[lead] != 1:
             raise ArithmeticError(f"polytabloid of {syts[c]} lacks its unit lowest term mod {p}")
         leads[lead] = (c, vec)
     col_words = [_row_word(_columns(t)) for t in syts]  # w[v-1]: the column of v
-    syt_index = {w: c for c, w in enumerate(row_words)}
+    syt_index = {x: c for c, x in enumerate(codes)}
     gens = []
+    window = b * b
     for i in range(1, r):
-        relabel = [tabloid_index[_swap(w, i)] for w in tabloids]
+        # s_i trades the digits of i and i+1, the base-b digits t // b and
+        # t % b of t = x // lo % b^2: one table lookup moves a code x
+        lo = b ** (r - i - 1)
+        shift = [((t % b) * b + t // b - t) * lo for t in range(window)]
         cols = []
         for c, vec in enumerate(basis):
-            moved = {relabel[k]: v for k, v in vec.items()}
-            row_word = row_words[c]
-            if row_word[i - 1] == row_word[i]:
-                col = [0] * f
+            moved = {x + shift[x // lo % window]: v for x, v in vec.items()}
+            dx = shift[codes[c] // lo % window]
+            col = [0] * f
+            cols.append(col)
+            if not dx:  # i and i+1 share a row of t
                 for target, v in reduce_lowest(moved, leads, p).items():
                     col[target] = v
-                cols.append(col)
                 continue
             if col_words[c][i - 1] == col_words[c][i]:
-                target, sign = c, -1
+                target, value, expected = c, p - 1, {k: p - v for k, v in vec.items()}
             else:
-                target, sign = syt_index[_swap(row_word, i)], 1
-            if moved != {k: (sign * v) % p for k, v in basis[target].items()}:
+                target = syt_index[codes[c] + dx]
+                value, expected = 1, basis[target]
+            if moved != expected:
                 raise ArithmeticError(f"Young's rule fails for s_{i} on {syts[c]} mod {p}")
-            col = [0] * f
-            col[target] = sign % p
-            cols.append(col)
+            col[target] = value
         # cols[c][row]: coordinate of s_i e_{t_c}; store as row-major matrix
         gens.append(tuple(tuple(cols[c][row] for c in range(f)) for row in range(f)))
     return SpechtRep(lam, p, f, tuple(gens))

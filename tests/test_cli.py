@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +171,25 @@ def test_verify_prints_long_first_rows_within_the_limit(capsys, k, d):
     assert code == 0
     assert report["lambda_plus"] == [2 + int(k) * 3 ** int(d), 1]
     assert report["dim"] == report["dim_plus"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "-p", "3", "--lambda", "2,1", "--mu", "3", "-k", "0", "-d", "100000000000"],
+        ["scan", "--max-degree", "3", "--k-values", "0", "--d-values", "100000000000"],
+    ],
+)
+def test_k_zero_with_huge_d_finishes(argv):
+    # with k = 0 nothing is added, so 3^(10^11) is never computed, neither
+    # for the stabilized rows nor for the hypothesis p^d > min(...)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, WEYLHOM_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylhom", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scan_rejects_negative_k_and_d(capsys):

@@ -7,6 +7,7 @@ from conftest import assert_canonical, generator_tensor, reference_phi_terms
 from weylhom.gfp import binom_mod
 from weylhom.homspace import (
     HomElement,
+    _power_exceeds,
     hom_dim,
     phi_eval_terms,
     relation_matrix,
@@ -275,6 +276,16 @@ def test_verify_stabilization_counterexamples():
     assert rep.hyp_power and not rep.hyp_overlap
     assert (rep.dim, rep.dim_plus) == (1, 0)
     assert rep.correspondence_verified is None
+
+
+def test_power_hypothesis_without_the_power():
+    # p^d > bound decided by bounded multiplication, equal to the direct
+    # comparison, negative bounds (mu_1 < lambda_1) included
+    for p in (2, 3, 5):
+        for d in range(0, 8):
+            for bound in range(-3, 130):
+                assert _power_exceeds(p, d, bound) == (p**d > bound), (p, d, bound)
+    assert _power_exceeds(3, 10**11, 10**6)
 
 
 def test_verify_stabilization_small_grid():

@@ -1,7 +1,13 @@
 import pytest
 
 import weylhom.specht as specht
-from conftest import reference_specht_gens, reference_specht_hom_dim, transpose
+from conftest import (
+    _reference_polytabloid,
+    _sorted_row_tabloids,
+    reference_specht_gens,
+    reference_specht_hom_dim,
+    transpose,
+)
 from weylhom.gfp import add_scaled
 from weylhom.homspace import hom_dim
 from weylhom.shapes import all_partitions, partition
@@ -126,21 +132,39 @@ def test_young_rule_matches_bruteforce_reference(p):
 
 def test_young_rule_shortcut_is_checked(monkeypatch):
     # shape (2, 1): tabloids in row-word order are {1,2}/{3}, {1,3}/{2},
-    # {2,3}/{1}, and e_t for t = ((1, 2), (3,)) is the first minus the last.
-    # Adding 1 at the last tabloid, above t's own, keeps the unit lead and
-    # leaves the same-row solve for s_1 consistent, but s_2 e_t is then no
-    # longer e_{s_2 t}, so the closed-form column must be caught
+    # {2,3}/{1}, with codes 1, 2, 4 in base 2, and e_t for t = ((1, 2), (3,))
+    # is the first minus the last.  Adding 1 at the last tabloid, above t's
+    # own, keeps the unit lead and leaves the same-row solve for s_1
+    # consistent, but s_2 e_t is then no longer e_{s_2 t}, so the closed-form
+    # column must be caught
     real = specht._polytabloid
+    top = specht._code(specht._row_word(((2, 3), (1,))), 2)
 
-    def perturbed(tableau, p, tabloid_index):
-        vec = real(tableau, p, tabloid_index)
+    def perturbed(tableau, p, b, signed):
+        vec = real(tableau, p, b, signed)
         if tableau == ((1, 2), (3,)):
-            add_scaled(vec, 1, {len(tabloid_index) - 1: 1}, p)
+            add_scaled(vec, 1, {top: 1}, p)
         return vec
 
     monkeypatch.setattr(specht, "_polytabloid", perturbed)
     with pytest.raises(ArithmeticError, match="Young's rule fails for s_2"):
         specht_rep((2, 1), 3)
+
+
+def _tabloid_codes(lam):
+    """Each row-set tabloid of lam (`_sorted_row_tabloids`) with its code."""
+    b = max(2, len(lam))
+    return {t: specht._code(specht._row_word(t), b) for t in _sorted_row_tabloids(lam)}
+
+
+def test_tabloid_codes_follow_row_word_order():
+    # brute force over every shape of degree <= 7, one-row shapes (base 2)
+    # included: sorted by row word, the codes strictly increase
+    for r in range(0, 8):
+        for lam in all_partitions(r):
+            codes = _tabloid_codes(lam)
+            ordered = [codes[t] for t in sorted(codes, key=specht._row_word)]
+            assert all(x < y for x, y in zip(ordered, ordered[1:])), lam
 
 
 def test_standard_polytabloids_have_unit_lowest_terms():
@@ -149,15 +173,30 @@ def test_standard_polytabloids_have_unit_lowest_terms():
     checked = 0
     for r in range(1, 8):
         for lam in all_partitions(r):
-            tabloids = specht._tabloids(lam)
-            assert tabloids == sorted(tabloids)
-            index = {w: k for k, w in enumerate(tabloids)}
+            b = max(2, len(lam))
+            signed = {}
             for t in standard_young_tableaux(lam):
-                vec = specht._polytabloid(t, 3, index)
-                lead = index[specht._row_word(t)]
+                vec = specht._polytabloid(t, 3, b, signed)
+                lead = specht._code(specht._row_word(t), b)
                 assert min(vec) == lead and vec[lead] == 1, t
                 checked += 1
     assert checked == 351
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_polytabloid_matches_reference(p):
+    # every standard tableau of degree <= 6: e_t over tabloid codes, read
+    # back as row-set tabloids, is the brute-force column-stabilizer sum
+    for r in range(0, 7):
+        for lam in all_partitions(r):
+            codes = _tabloid_codes(lam)
+            index = {t: k for k, t in enumerate(codes)}
+            by_code = {x: index[t] for t, x in codes.items()}
+            signed = {}
+            for t in standard_young_tableaux(lam):
+                vec = specht._polytabloid(t, p, max(2, len(lam)), signed)
+                translated = {by_code[x]: v for x, v in vec.items()}
+                assert translated == _reference_polytabloid(t, p, index), t
 
 
 @pytest.mark.parametrize("scale", [0, 2])
@@ -166,8 +205,8 @@ def test_broken_polytabloid_lead_is_caught(monkeypatch, scale):
     # longer a unit (scale 2) must stop the build before any column is read
     real = specht._polytabloid
 
-    def broken(tableau, p, tabloid_index):
-        vec = real(tableau, p, tabloid_index)
+    def broken(tableau, p, b, signed):
+        vec = real(tableau, p, b, signed)
         if tableau == ((1, 3), (2,)):
             lead = min(vec)
             vec = dict(vec)
