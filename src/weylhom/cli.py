@@ -51,6 +51,14 @@ def _check_nonnegative(name: str, values) -> None:
         raise CliError(f"{name} must be nonnegative, got {','.join(map(str, values))}")
 
 
+def _check_first_row(top: int, p: int, k: int, d: int) -> None:
+    """Refuse a stabilized first row top + k*p^d past Python's int-to-str
+    limit (0 or absent: none), before raising p to a huge d."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if k and limit and (d * math.log10(p) > limit or top + k * p**d >= 10**limit):
+        raise CliError(f"k*p^d = {k}*{p}^{d} is too large: a first row would exceed {limit} digits")
+
+
 def _emit(report: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
@@ -123,12 +131,8 @@ def cmd_verify(args) -> int:
     lam, mu = _parse_common(args)
     _check_nonnegative("-k", [args.k])
     _check_nonnegative("-d", [args.d])
-    # the report prints the stabilized first rows: refuse one past Python's
-    # int-to-str limit (0 or absent: none), before raising p to a huge d
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    top = max(lam[:1] + mu[:1], default=0)
-    if args.k and limit and (args.d * math.log10(args.p) > limit or top + args.k * args.p**args.d >= 10**limit):
-        raise CliError(f"k*p^d = {args.k}*{args.p}^{args.d} is too large: a first row would exceed {limit} digits")
+    # the report prints the stabilized first rows
+    _check_first_row(max(lam[:1] + mu[:1], default=0), args.p, args.k, args.d)
     report = _verify_report(lam, mu, args.p, args.k, args.d)
     flags = report["hypotheses"]
     lines = [
@@ -180,6 +184,11 @@ def cmd_scan(args) -> int:
     cap = config.scan_degree_cap()
     complete = args.max_degree <= cap
     top = min(args.max_degree, cap)
+    # a shape of degree top has first row at most top
+    for p in primes:
+        for k in ks:
+            for d in ds:
+                _check_first_row(top, p, k, d)
     cases = []
     for r in range(0, top + 1):
         shapes = all_partitions(r)

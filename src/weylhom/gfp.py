@@ -3,7 +3,8 @@
 Everything is integer arithmetic on residues in [0, p).  No floats, no
 probabilistic shortcuts: ranks and kernels are exact.  Elimination computes
 the reduced echelon form, which depends only on the row space and not on the
-order rows are absorbed in, so bases are reproducible across runs.  A basis
+order rows are absorbed in, so bases are reproducible across runs; a linear
+system is solved by reading the kernel of its augmented matrix.  A basis
 that is already unitriangular (each element has its own lowest key, with
 coefficient 1) needs no elimination at all: `reduce_lowest` solves against
 it term by term.
@@ -11,6 +12,7 @@ it term by term.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 
@@ -44,37 +46,24 @@ def check_prime(p: int) -> int:
     return p
 
 
-@lru_cache(maxsize=None)
-def _small_binomials(p: int) -> list[list[int]]:
-    """Pascal triangle of C(a, b) mod p for 0 <= b <= a < p."""
-    rows = [[1]]
-    for a in range(1, p):
-        prev = rows[-1]
-        row = [1] * (a + 1)
-        for b in range(1, a):
-            row[b] = (prev[b - 1] + prev[b]) % p
-        rows.append(row)
-    return rows
-
-
 def binom_mod(a: int, b: int, p: int) -> int:
     """C(a, b) mod p by Lucas' digit decomposition; 0 when b > a.
 
     Digit-wise products avoid huge factorials: first-row entries in the
     stabilized computations reach a few dozen plus k*p^d, which is exactly
-    the regime Lucas' theorem handles in O(log_p a).
+    the regime Lucas' theorem handles in O(log_p a).  Each digit's binomial
+    is computed exactly, so nothing is kept per prime.
     """
     check_prime(p)
     if b < 0 or b > a:
         return 0
-    table = _small_binomials(p)
     result = 1
     while b > 0:
         ad, a = a % p, a // p
         bd, b = b % p, b // p
         if bd > ad:
             return 0
-        result = (result * table[ad][bd]) % p
+        result = (result * math.comb(ad, bd)) % p
         if result == 0:
             return 0
     return result
@@ -118,13 +107,12 @@ def reduce_lowest(vec: dict, basis: dict, p: int) -> dict:
     return coords
 
 
-def absorb_row(pivots: dict, row: dict, p: int, transform=None, transforms=None) -> bool:
+def absorb_row(pivots: dict, row: dict, p: int) -> bool:
     """One pivot step of Gaussian elimination over GF(p): reduce `row` in place
     against `pivots` (lead -> row, lowest key the lead with coefficient 1)
     and, if anything is left, store it under its lowest key scaled to a unit
     lead.  True iff the row added a pivot, so absorbing rows one at a time
-    is a streaming rank.  A `transform` is reduced alongside, against
-    `transforms`, and stored with the new pivot.
+    is a streaming rank.
     """
     while row:
         lead = min(row)
@@ -132,13 +120,8 @@ def absorb_row(pivots: dict, row: dict, p: int, transform=None, transforms=None)
         if existing is None:
             inv = pow(row[lead], -1, p)
             pivots[lead] = {j: (c * inv) % p for j, c in row.items()}
-            if transform is not None:
-                transforms[lead] = {k: (c * inv) % p for k, c in transform.items()}
             return True
-        factor = row[lead]
-        add_scaled(row, -factor, existing, p)
-        if transform is not None:
-            add_scaled(transform, -factor, transforms[lead], p)
+        add_scaled(row, -row[lead], existing, p)
     return False
 
 
@@ -168,22 +151,17 @@ class Echelon:
     Each distinct nonzero row is absorbed once, shortest first (ties by
     input index), and claims the lowest column not yet used as a pivot; empty
     and repeated rows add nothing to the row space, and the reduced form does
-    not depend on the absorption order.  Pivot rows carry a transform (their
-    expression in the original rows, a kept row standing for its first
-    occurrence) so that solving against new right-hand sides is a cheap
-    replay rather than a fresh elimination.  The rank is the number of
-    pivots, known once every row is absorbed; back-substitution waits until
-    `pivot_rows`, `kernel_basis` or `solve` first needs the reduced form.
+    not depend on the absorption order.  The rank is the number of pivots,
+    known once every row is absorbed; back-substitution waits until
+    `pivot_rows` or `kernel_basis` first needs the reduced form.
     """
 
-    def __init__(self, matrix: MatrixGFp, with_transform: bool = False):
+    def __init__(self, matrix: MatrixGFp):
         self.matrix = matrix
         self.p = matrix.p
         self.ncols = matrix.ncols
-        self.with_transform = with_transform
-        # pivot col -> row dict (reduced once _reduced); transform alongside when asked
+        # pivot col -> row dict (reduced once _reduced)
         self._pivots: dict[int, dict[int, int]] = {}
-        self._transforms: dict[int, dict[int, int]] = {}
         self._reduced = False
         rows = matrix.rows
         first = {}
@@ -191,8 +169,7 @@ class Echelon:
             if row:
                 first.setdefault(frozenset(row.items()), idx)
         for idx in sorted(first.values(), key=lambda i: len(rows[i])):
-            transform = {idx: 1} if with_transform else None
-            absorb_row(self._pivots, dict(rows[idx]), self.p, transform, self._transforms)
+            absorb_row(self._pivots, dict(rows[idx]), self.p)
 
     @property
     def rank(self) -> int:
@@ -205,12 +182,12 @@ class Echelon:
         return self._pivots
 
     def _back_substitute(self) -> None:
-        """Clear every pivot column above its pivot, transforms alongside; once."""
+        """Clear every pivot column above its pivot; once."""
         if self._reduced:
             return
         self._reduced = True
         p = self.p
-        pivots, transforms = self._pivots, self._transforms
+        pivots = self._pivots
         for lead in sorted(pivots, reverse=True):
             row = pivots[lead]
             for other_lead, other in pivots.items():
@@ -220,8 +197,6 @@ class Echelon:
                 if not factor:
                     continue
                 add_scaled(other, -factor, row, p)
-                if self.with_transform:
-                    add_scaled(transforms[other_lead], -factor, transforms[lead], p)
 
     def kernel_basis(self) -> list[list[int]]:
         """Reduced basis of the right kernel, one vector per free column, ascending."""
@@ -241,21 +216,18 @@ class Echelon:
         return basis
 
     def solve(self, rhs: dict[int, int]) -> list[int]:
-        """Unique solution of M x = rhs for a full-column-rank M; exact residual check."""
-        if not self.with_transform:
-            raise ValueError("Echelon built without transform cannot solve")
-        p = self.p
-        self._back_substitute()
-        x = [0] * self.ncols
-        for lead, transform in self._transforms.items():
-            if len(rhs) < len(transform):
-                x[lead] = sum(transform.get(k, 0) * v for k, v in rhs.items()) % p
-            else:
-                x[lead] = sum(c * rhs.get(k, 0) for k, c in transform.items()) % p
-        # pivots alone cannot see an inconsistent residual, and a repeated row
-        # may carry a different right-hand side: recheck every original row
-        for i, row in enumerate(self.matrix.rows):
-            s = sum(c * x[j] for j, c in row.items()) % p
-            if s != rhs.get(i, 0) % p:
-                raise InconsistentSystemError("no exact solution")
-        return x
+        """The x with M x = rhs and 0 in every free column of M.
+
+        x is read off the reduced kernel of [M | -rhs]: the system is
+        consistent exactly when the last column is free (Rouche-Capelli), and
+        then the kernel vector of that column, which ends in 1, is (x, 1).
+        """
+        p, n = self.p, self.ncols
+        rows = [dict(row) for row in self.matrix.rows]
+        for i, v in rhs.items():
+            if v % p:
+                rows[i][n] = -v % p
+        kernel = Echelon(MatrixGFp(len(rows), n + 1, p, rows)).kernel_basis()
+        if not kernel or not kernel[-1][n]:
+            raise InconsistentSystemError("no exact solution")
+        return kernel[-1][:n]

@@ -194,9 +194,7 @@ def reference_straighten(mu, tab: Tableau, p: int) -> dict[Tableau, int]:
     for col, img in enumerate(images):
         for k, v in img.items():
             set_entry(matrix, index[k], col, v)
-    solution = Echelon(matrix, with_transform=True).solve(
-        {index[k]: v for k, v in target.items()}
-    )
+    solution = Echelon(matrix).solve({index[k]: v for k, v in target.items()})
     return {std[i]: v for i, v in enumerate(solution) if v}
 
 
@@ -353,7 +351,7 @@ def reference_specht_gens(lam, p: int) -> tuple:
     for col, t in enumerate(syts):
         for idx, v in _reference_polytabloid(t, p, tabloid_index).items():
             set_entry(basis_matrix, idx, col, v)
-    ech = Echelon(basis_matrix, with_transform=True)
+    ech = Echelon(basis_matrix)
     if ech.rank != f:
         raise ArithmeticError(f"standard polytabloids of {lam} are dependent mod {p}")
     gens = []

@@ -192,6 +192,46 @@ def test_k_zero_with_huge_d_finishes(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_scan_refuses_a_huge_first_row_before_any_work():
+    # 3^(10^11) would never finish in shapes.stabilize: the first-row rule
+    # that verify applies refuses it, with the effective degree as the row
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, WEYLHOM_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    argv = ["scan", "--max-degree", "1", "--primes", "3", "--k-values", "1", "--d-values", "100000000000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylhom", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: k*p^d = 1*3^100000000000 is too large: a first row would exceed 4300 digits\n"
+
+
+def test_scan_checks_every_grid_point(capsys, monkeypatch):
+    # with a 1-digit limit, 3 + 3^2 = 12 is too long for degree 3 while
+    # 0 + 3^2 = 9 fits degree 0: the effective degree is the first row, one
+    # (p, k, d) refuses the whole grid before any work, and k = 0 never does
+    def never(*args):
+        raise AssertionError("the scan did work")
+
+    grid = ["--primes", "3", "--k-values", "0,1", "--d-values", "1,2", "--format", "json"]
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 1, raising=False)
+    all_partitions = cli.all_partitions
+    monkeypatch.setattr(cli, "all_partitions", never)
+    code, out, err = run(capsys, "scan", "--max-degree", "3", *grid)
+    assert code == 1 and out == ""
+    assert err == "error: k*p^d = 1*3^2 is too large: a first row would exceed 1 digits\n"
+    monkeypatch.setattr(cli, "all_partitions", all_partitions)
+    code, report = run_json(capsys, "scan", "--max-degree", "0", *grid)
+    assert code == 0 and len(report["cases"]) == 4
+    monkeypatch.undo()
+    code, report = run_json(
+        capsys, "scan", "--max-degree", "3", "--primes", "3", "--k-values", "0", "--d-values", "100000000000",
+        "--format", "json",
+    )
+    assert code == 0 and report["summary"]["fail"] == 0
+
+
 def test_scan_rejects_negative_k_and_d(capsys):
     for flag in ("--k-values", "--d-values"):
         code, out, err = run(capsys, "scan", "--max-degree", "2", flag, "1,-1")

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,28 @@ def test_lucas_row_shift_property(a, b, k, d, p):
     if p**d > b:
         assert binom_mod(a + k * p**d, b, p) == binom_mod(a, b, p)
         assert binom_mod(a, b, p) == math.comb(a, b) % p
+
+
+def test_binom_memory_does_not_grow_with_p():
+    # each Lucas digit's binomial is computed on the spot: no per-prime
+    # table of p^2/2 residues (about 300 MB at p = 4001)
+    tracemalloc.start()
+    try:
+        assert binom_mod(10**6 + 3, 3, 4001) == math.comb(10**6 + 3, 3) % 4001
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("p", [9973, 10007, 999983, 1000003])
+def test_binom_matches_exact_at_large_primes(p):
+    rng = random.Random(p)
+    for _ in range(50):
+        a = rng.randrange(3 * p)
+        b = rng.randrange(8)
+        assert binom_mod(a, b, p) == math.comb(a, b) % p
+    assert binom_mod(p + 2, p, p) == math.comb(p + 2, p) % p == 1
 
 
 def test_is_prime():
@@ -128,15 +152,48 @@ def test_echelon_solve_roundtrip():
                 break
         x = [rng.randrange(p) for _ in range(ncols)]
         rhs = dict(enumerate(m.mul_vec(x)))
-        solved = Echelon(m, with_transform=True).solve(rhs)
+        solved = Echelon(m).solve(rhs)
         assert solved == x
 
 
 def test_echelon_solve_detects_inconsistency():
     m = from_dense([[1], [1]], 3)
-    ech = Echelon(m, with_transform=True)
+    ech = Echelon(m)
     with pytest.raises(InconsistentSystemError):
         ech.solve({0: 1, 1: 2})
+
+
+def test_echelon_solve_contract_by_brute_force():
+    # over all of GF(p)^n: solve returns a solution exactly when one exists,
+    # that solution is 0 in every free column, and every other system raises,
+    # a nonzero right-hand side on an empty row included
+    rng = random.Random(41)
+    for _ in range(400):
+        p = rng.choice([2, 3, 5])
+        ncols = rng.randrange(0, 4)
+        rows = [
+            {j: v for j in range(ncols) if (v := rng.randrange(p)) and rng.random() < 0.6}
+            for _ in range(rng.randrange(0, 5))
+        ]
+        if rows and rng.random() < 0.5:
+            rows.append(dict(rng.choice(rows)))
+        if rng.random() < 0.3:
+            rows.append({})
+        m = MatrixGFp(len(rows), ncols, p, rows)
+        # a consistent right-hand side, with one entry redrawn half the time
+        b = m.mul_vec([rng.randrange(p) for _ in range(ncols)])
+        if rows and rng.random() < 0.5:
+            b[rng.randrange(len(rows))] = rng.randrange(p)
+        rhs = {i: v for i, v in enumerate(b) if v}
+        solutions = [list(x) for x in itertools.product(range(p), repeat=ncols) if m.mul_vec(x) == b]
+        ech = Echelon(m)
+        if not solutions:
+            with pytest.raises(InconsistentSystemError):
+                ech.solve(rhs)
+            continue
+        x = ech.solve(rhs)
+        assert x in solutions
+        assert all(x[j] == 0 for j in range(ncols) if j not in ech.pivot_rows)
 
 
 def test_absorb_row_is_a_streaming_rank():
@@ -238,8 +295,8 @@ def test_echelon_ignores_row_order_repeats_and_empty_rows():
             len(source), ncols, p,
             [dict(m.rows[i]) if i is not None else {} for i in source],
         )
-        ech = Echelon(m, with_transform=True)
-        other = Echelon(shuffled, with_transform=True)
+        ech = Echelon(m)
+        other = Echelon(shuffled)
         # the rank is read off the unreduced pivots, before back-substitution
         unreduced = (ech.rank, other.rank)
         assert not ech._reduced and not other._reduced
