@@ -20,7 +20,7 @@ from .homspace import (
     verify_stabilization,
 )
 from .polyalg import ExpansionLimitError, dprime, mono
-from .shapes import all_partitions, composition, parse_partition, partition, stabilize
+from .shapes import FirstRowTooLargeError, all_partitions, composition, parse_partition, partition, stabilize
 from .specht import oracle_compare, specht_hom_dim, specht_rep
 from .tableaux import Tableau, enumerate_standard, from_row_entries
 from .weyl import (

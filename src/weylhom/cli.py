@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import config
 from .gfp import NonPrimeModulusError, check_prime
 from .homspace import hom_dim, verify_stabilization
-from .shapes import all_partitions, format_partition, parse_partition
+from .shapes import FirstRowTooLargeError, all_partitions, format_partition, parse_partition, stabilize
 from .specht import check_dictionary_prime, specht_hom_dim
 from .tableaux import enumerate_standard
 from .weyl import StraighteningLimitError
@@ -49,14 +48,6 @@ def _parse_common(args):
 def _check_nonnegative(name: str, values) -> None:
     if any(v < 0 for v in values):
         raise CliError(f"{name} must be nonnegative, got {','.join(map(str, values))}")
-
-
-def _check_first_row(top: int, p: int, k: int, d: int) -> None:
-    """Refuse a stabilized first row top + k*p^d past Python's int-to-str
-    limit (0 or absent: none), before raising p to a huge d."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if k and limit and (d * math.log10(p) > limit or top + k * p**d >= 10**limit):
-        raise CliError(f"k*p^d = {k}*{p}^{d} is too large: a first row would exceed {limit} digits")
 
 
 def _emit(report: dict, fmt: str, text_lines) -> None:
@@ -131,8 +122,8 @@ def cmd_verify(args) -> int:
     lam, mu = _parse_common(args)
     _check_nonnegative("-k", [args.k])
     _check_nonnegative("-d", [args.d])
-    # the report prints the stabilized first rows
-    _check_first_row(max(lam[:1] + mu[:1], default=0), args.p, args.k, args.d)
+    # before any work: the longer first row (tuples compare it first) must fit
+    stabilize(max(lam, mu), args.k, args.d, args.p)
     report = _verify_report(lam, mu, args.p, args.k, args.d)
     flags = report["hypotheses"]
     lines = [
@@ -184,11 +175,11 @@ def cmd_scan(args) -> int:
     cap = config.scan_degree_cap()
     complete = args.max_degree <= cap
     top = min(args.max_degree, cap)
-    # a shape of degree top has first row at most top
+    # before any work: no shape of degree top has a first row longer than top
     for p in primes:
         for k in ks:
             for d in ds:
-                _check_first_row(top, p, k, d)
+                stabilize((top,), k, d, p)
     cases = []
     for r in range(0, top + 1):
         shapes = all_partitions(r)
@@ -308,7 +299,7 @@ def main(argv=None) -> int:
         config.scan_degree_cap()
         config.specht_degree_bound()
         return args.func(args)
-    except (CliError, config.ConfigError, StraighteningLimitError) as exc:
+    except (CliError, config.ConfigError, FirstRowTooLargeError, StraighteningLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -116,23 +116,15 @@ def clear_caches() -> None:
 def stabilize_hom(h: HomElement, k: int, d: int) -> HomElement:
     """Transport a Hom candidate along the tableau bijection T -> T^+ obtained
     by prepending k*p^d ones to the top row.  Needs mu_2 <= lambda_1 so that
-    the bijection onto Std_{lambda^+}(mu^+) is available."""
-    p = h.p
+    the bijection onto Std_{lambda^+}(mu^+) is available.  It keeps the
+    lexicographic order of both enumerations, so the coefficients carry over
+    unchanged; FirstRowTooLargeError is raised where `stabilize` raises it."""
     lam, mu = h.lam, h.mu
     mu2 = mu[1] if len(mu) > 1 else 0
     lam1 = lam[0] if lam else 0
     if mu2 > lam1:
         raise ValueError(f"transport needs mu_2 <= lambda_1, got {mu2} > {lam1}")
-    m = k * p**d if k else 0
-    lam_plus = stabilize(lam, k, d, p)
-    mu_plus = stabilize(mu, k, d, p)
-    std = enumerate_standard(mu, lam)
-    std_plus = enumerate_standard(mu_plus, lam_plus)
-    index_plus = {t: i for i, t in enumerate(std_plus)}
-    coeffs = [0] * len(std_plus)
-    for t, c in zip(std, h.coeffs):
-        coeffs[index_plus[t.plus(m)]] = c
-    return HomElement(lam_plus, mu_plus, p, tuple(coeffs))
+    return HomElement(stabilize(lam, k, d, h.p), stabilize(mu, k, d, h.p), h.p, h.coeffs)
 
 
 def _in_reduced_span(v, kernel, p: int) -> bool:
@@ -204,15 +196,14 @@ def verify_stabilization(lam, mu, p: int, k: int, d: int) -> StabilizationReport
 
     The stabilization theorem is proved for odd p; the recorded hypotheses
     leave out parity, so at p = 2 a verified correspondence is evidence for
-    an unproved extension rather than an instance of the theorem."""
+    an unproved extension rather than an instance of the theorem.  Raises
+    FirstRowTooLargeError, before any Hom space is computed, where
+    `stabilize` refuses the stabilized first rows."""
     lam = partition(lam)
     mu = partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"degree mismatch: {lam} vs {mu}")
-    if k < 0 or d < 0:
-        raise ValueError("k and d must be nonnegative")
-    check_prime(p)
-    lam_plus = stabilize(lam, k, d, p)
+    lam_plus = stabilize(lam, k, d, p)  # checks p, k and d
     mu_plus = stabilize(mu, k, d, p)
     lam1 = lam[0] if lam else 0
     lam2 = lam[1] if len(lam) > 1 else 0
@@ -224,10 +215,9 @@ def verify_stabilization(lam, mu, p: int, k: int, d: int) -> StabilizationReport
     dim_plus, basis_plus = hom_dim(lam_plus, mu_plus, p)
     transport_in_kernel: bool | None = None
     if hyp_overlap:
+        # stabilize_hom keeps the coefficients, so each h is tested as it is
         kernel_plus = [h.coeffs for h in basis_plus]
-        transport_in_kernel = all(
-            _in_reduced_span(stabilize_hom(h, k, d).coeffs, kernel_plus, p) for h in basis
-        )
+        transport_in_kernel = all(_in_reduced_span(h.coeffs, kernel_plus, p) for h in basis)
     correspondence = None
     if hyp_power and hyp_overlap:
         correspondence = (dim == dim_plus) and bool(transport_in_kernel)

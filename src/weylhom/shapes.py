@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+
 from .gfp import check_prime
+
+
+class FirstRowTooLargeError(ValueError):
+    """A stabilized first row with more digits than the int-to-str limit."""
 
 
 def partition(parts) -> tuple[int, ...]:
@@ -31,17 +37,26 @@ def composition(parts) -> tuple[int, ...]:
 
 
 def stabilize(lam, k: int, d: int, p: int) -> tuple[int, ...]:
-    """Add k*p^d boxes to the first row."""
+    """Add k*p^d boxes to the first row (none when k = 0, however large d is).
+
+    Raises FirstRowTooLargeError, before raising p to d, on a first row longer
+    than Python's int-to-str limit, or 4300 digits where that limit is 0."""
     check_prime(p)
     if k < 0 or d < 0:
         raise ValueError("k and d must be nonnegative")
     lam = partition(lam)
-    if k == 0:  # nothing is added, however large p^d is
+    if k == 0:
         return lam
-    m = k * p**d
-    if not lam:
-        return (m,)
-    return (lam[0] + m,) + lam[1:]
+    top = lam[0] if lam else 0
+    limit = getattr(sys, "get_int_max_str_digits", int)() or getattr(sys.int_info, "default_max_str_digits", 4300)
+    # 2^(bits - d - 1) <= k*p^d < 2^bits and 8^limit < 10^limit < 16^limit:
+    # the row is built only below 16^limit and compared only from 8^limit up
+    bits = d * p.bit_length() + k.bit_length()
+    if max(bits - d - 1, top.bit_length() - 1) < 4 * limit:
+        row = top + k * p**d
+        if max(bits, top.bit_length()) < 3 * limit or row < 10**limit:
+            return (row,) + lam[1:]
+    raise FirstRowTooLargeError(f"k*p^d = {k}*{p}^{d} is too large: a first row would exceed {limit} digits")
 
 
 def all_partitions(r: int) -> list[tuple[int, ...]]:

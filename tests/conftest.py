@@ -28,16 +28,34 @@ and the Weyl dimension formula `weyl_dimension`.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weylhom
 from weylhom.gfp import Echelon, MatrixGFp, add_scaled, binom_mod, check_prime
 from weylhom.polyalg import Monomial, dp_comult, dprime, mono, mono_degree
 from weylhom.shapes import partition
 from weylhom.specht import specht_rep, standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
 from weylhom.weyl import realize
+
+
+def run_python(args, str_digits=None) -> subprocess.CompletedProcess:
+    """Run the interpreter on args with this weylhom importable, one scan
+    worker, PYTHONINTMAXSTRDIGITS set to str_digits (unset when None) and a
+    30 s timeout, so that a hang fails the test instead of the suite."""
+    env = dict(os.environ, WEYLHOM_WORKERS="1")
+    src = str(Path(weylhom.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if str_digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = str_digits
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=30)
 
 
 def set_entry(m: MatrixGFp, i: int, j: int, value: int) -> None:

@@ -1,11 +1,9 @@
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import run_python
 import weylhom.cli as cli
 from weylhom import config
 from weylhom.homspace import StabilizationReport
@@ -173,6 +171,10 @@ def test_verify_prints_long_first_rows_within_the_limit(capsys, k, d):
     assert report["dim"] == report["dim_plus"] == 1
 
 
+def run_module(argv, str_digits=None):
+    return run_python(["-m", "weylhom", *argv], str_digits)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -183,26 +185,28 @@ def test_verify_prints_long_first_rows_within_the_limit(capsys, k, d):
 def test_k_zero_with_huge_d_finishes(argv):
     # with k = 0 nothing is added, so 3^(10^11) is never computed, neither
     # for the stabilized rows nor for the hypothesis p^d > min(...)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, WEYLHOM_WORKERS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "weylhom", *argv], env=env, capture_output=True, text=True, timeout=30
-    )
+    proc = run_module(argv)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scan_refuses_a_huge_first_row_before_any_work():
+# a limit of 0 switches Python's int-to-str check off; the first-row rule
+# then falls back to the interpreter default of 4300 digits
+STR_DIGITS = pytest.mark.parametrize("str_digits", [None, "0"], ids=["limit-unset", "limit-0"])
+
+
+@STR_DIGITS
+def test_scan_refuses_a_huge_first_row_before_any_work(str_digits):
     # 3^(10^11) would never finish in shapes.stabilize: the first-row rule
     # that verify applies refuses it, with the effective degree as the row
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, WEYLHOM_WORKERS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("PYTHONINTMAXSTRDIGITS", None)
     argv = ["scan", "--max-degree", "1", "--primes", "3", "--k-values", "1", "--d-values", "100000000000"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "weylhom", *argv], env=env, capture_output=True, text=True, timeout=30
-    )
+    proc = run_module(argv, str_digits)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: k*p^d = 1*3^100000000000 is too large: a first row would exceed 4300 digits\n"
+
+
+@STR_DIGITS
+def test_verify_refuses_a_huge_first_row_before_any_work(str_digits):
+    proc = run_module(["verify", "-p", "3", "--lambda", "2,1", "--mu", "3", "-d", "100000000000"], str_digits)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: k*p^d = 1*3^100000000000 is too large: a first row would exceed 4300 digits\n"
 

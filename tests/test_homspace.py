@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import assert_canonical, generator_tensor, reference_phi_terms
+from conftest import assert_canonical, generator_tensor, reference_phi_terms, run_python
 from weylhom.gfp import binom_mod
 from weylhom.homspace import (
     HomElement,
@@ -246,6 +246,21 @@ def test_stabilize_hom_transport():
     # vector no longer kills the relations
     m_plus = relation_matrix((11, 3), (14,), 3)
     assert any(m_plus.mul_vec(list(moved.coeffs)))
+    # the relabelling means T -> T^+ on every basis element: each
+    # coefficient sits on the shifted tableau
+    checked = 0
+    for r in range(0, 7):
+        shapes = all_partitions(r)
+        for lam in shapes:
+            for mu in shapes:
+                if len(mu) > 1 and mu[1] > lam[0]:
+                    continue
+                for h in hom_dim(lam, mu, 3)[1]:
+                    for k, d in ((1, 1), (2, 1)):
+                        expected = [(t.plus(k * 3**d), c) for t, c in h.support()]
+                        assert stabilize_hom(h, k, d).support() == expected, (lam, mu, k, d)
+                        checked += 1
+    assert checked > 0
 
 
 def test_stabilize_hom_identity_and_precondition():
@@ -255,6 +270,25 @@ def test_stabilize_hom_identity_and_precondition():
     bad = HomElement((1, 1, 1, 1), (2, 2), 3, (1, 0))
     with pytest.raises(ValueError):
         stabilize_hom(bad, 1, 1)
+
+
+@pytest.mark.parametrize("str_digits", [None, "0"], ids=["limit-unset", "limit-0"])
+def test_library_refuses_a_huge_first_row(str_digits):
+    # in a subprocess, so that computing 3^(10^11) would time out rather
+    # than hang the suite; a limit of 0 falls back to 4300 digits
+    script = """
+from weylhom import hom_dim, stabilize_hom, verify_stabilization
+from weylhom.shapes import FirstRowTooLargeError
+h = hom_dim((2, 1), (3,), 3)[1][0]
+for call in (lambda: verify_stabilization((2, 1), (3,), 3, 1, 10**11), lambda: stabilize_hom(h, 1, 10**11)):
+    try:
+        call()
+    except FirstRowTooLargeError as exc:
+        print(exc)
+"""
+    proc = run_python(["-c", script], str_digits)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "k*p^d = 1*3^100000000000 is too large: a first row would exceed 4300 digits\n" * 2
 
 
 def test_verify_stabilization_hypotheses_hold():

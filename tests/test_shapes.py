@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dominates, transpose, weyl_dimension
 from weylhom.shapes import (
+    FirstRowTooLargeError,
     all_partitions,
     composition,
     format_partition,
@@ -71,6 +74,50 @@ def test_stabilize_examples():
     assert stabilize((), 2, 1, 3) == (6,)
     with pytest.raises(ValueError):
         stabilize((2, 1), -1, 1, 3)
+
+
+def test_stabilize_refuses_exactly_past_the_digit_limit(monkeypatch):
+    # the bit-length screen decides far from the limit and the exact
+    # comparison near it: together they refuse exactly the rows of more than
+    # L digits
+    for limit in range(1, 7):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+        for p in (2, 3, 5, 7):
+            for k in (0, 1, 2, 9):
+                for d in range(0, 26):
+                    for top in (*range(12), 99):
+                        lam = (top,) + (1,) * (top > 0)
+                        refuse = k > 0 and top + k * p**d >= 10**limit
+                        try:
+                            row = stabilize(lam, k, d, p)
+                        except FirstRowTooLargeError as exc:
+                            assert refuse, (limit, p, k, d, top)
+                            assert str(exc) == (
+                                f"k*p^d = {k}*{p}^{d} is too large: a first row would exceed {limit} digits"
+                            )
+                        else:
+                            assert not refuse, (limit, p, k, d, top)
+                            assert row == partition((top + k * p**d,) + lam[1:])
+    # the same edge at the default limit, reached by the first row or by p^d
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    assert stabilize((10**4300 - 2,), 1, 0, 2) == (10**4300 - 1,)
+    with pytest.raises(FirstRowTooLargeError):
+        stabilize((10**4300 - 1,), 1, 0, 2)
+    assert stabilize((), 1, 14284, 2) == (2**14284,)  # 4300 digits
+    with pytest.raises(FirstRowTooLargeError):
+        stabilize((), 1, 14285, 2)  # 4301 digits
+
+
+def test_stabilize_limit_zero_or_absent_falls_back_to_the_default(monkeypatch):
+    assert issubclass(FirstRowTooLargeError, ValueError)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    assert stabilize((2, 1), 1, 9000, 2)[0] == 2 + 2**9000  # 2710 digits
+    with pytest.raises(FirstRowTooLargeError, match="exceed 4300 digits"):
+        stabilize((2, 1), 1, 10**11, 3)
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    with pytest.raises(FirstRowTooLargeError, match="exceed 4300 digits"):
+        stabilize((2, 1), 1, 10**400, 3)
+    assert stabilize((2, 1), 0, 10**400, 3) == (2, 1)
 
 
 @settings(max_examples=200, deadline=None)
