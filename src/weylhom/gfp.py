@@ -17,25 +17,47 @@ from functools import lru_cache
 
 
 class NonPrimeModulusError(ValueError):
-    """Raised when a field context is requested for a composite modulus."""
+    """Raised when a field context is requested for a modulus not known to be
+    prime: a composite, or one at or past PRIMALITY_BOUND."""
 
 
 class InconsistentSystemError(ArithmeticError):
     """Raised when a linear system guaranteed solvable turns out not to be."""
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin on the 13 primes 2..41 decides primality below this bound
+# (Sorenson and Webster, Math. Comp. 2017); the bound itself is a strong
+# pseudoprime to all 13 bases.
+PRIMALITY_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin; NonPrimeModulusError at
+    or past PRIMALITY_BOUND, where these witnesses no longer decide."""
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if n >= PRIMALITY_BOUND:
+        raise NonPrimeModulusError(
+            f"modulus {n} is too large: primality is decided exactly below {PRIMALITY_BOUND}"
+        )
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -6,6 +6,13 @@ induces an honest module map exactly when it kills every relation generator
 x_{i,t}.  Evaluating each phi_T on each generator, straightening, and
 stacking the coordinates gives a sparse matrix whose kernel is the Hom
 space.  The Schur algebra itself is never materialized.
+
+Only the generators with t a power of p need rows.  In the hyperalgebra
+E_i^(a) E_i^(b) = C(a+b, a) E_i^(a+b), so by Lucas E_i^(t) is a unit times
+the product of E_i^(p^j) over the base-p digits t_j of t (each taken t_j
+times); whatever every E_i^(p^j) kills, E_i^(t) kills too.  The rows of a
+generator are keyed by the standard tableaux its images reach, so a target
+no image reaches gives no row.
 """
 
 from __future__ import annotations
@@ -64,10 +71,23 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     return terms
 
 
+def _is_power(t: int, p: int) -> bool:
+    """Whether t = p^j for some j >= 0."""
+    while t % p == 0:
+        t //= p
+    return t == 1
+
+
 def relation_matrix(lam, mu, p: int) -> MatrixGFp:
-    """Rows: standard-basis coordinates of phi_T(x_{i,t}) for every generator,
-    stacked in (i, t) order; columns: T over Std_lambda(mu).  The kernel is
-    the space of induced Hom maps."""
+    """Rows: the nonzero standard-basis coordinates of phi_T(x_{i,t}) for
+    the generators with t a power of p, stacked in (i, t) order and, within
+    a generator, in order of the target standard tableau; columns: T over
+    Std_lambda(mu).  The kernel is the space of induced Hom maps.
+
+    The other generators cut nothing out: E_i^(a) E_i^(b) = C(a+b, a)
+    E_i^(a+b) in the hyperalgebra, so by Lucas E_i^(t) is a unit times the
+    product of E_i^(p^j) over the base-p digits of t, and a vector killed by
+    every E_i^(p^j) is killed by E_i^(t)."""
     lam = partition(lam)
     mu = partition(mu)
     check_prime(p)
@@ -75,14 +95,14 @@ def relation_matrix(lam, mu, p: int) -> MatrixGFp:
     ctx = get_context(mu, p)
     rows: list[dict[int, int]] = []
     for gen in relation_generators(lam):
-        target_std = enumerate_standard(mu, gen.weight)
-        block = [dict() for _ in target_std]
-        tindex = {t: i for i, t in enumerate(target_std)}
+        if not _is_power(gen.t, p):
+            continue
+        block: dict[Tableau, dict[int, int]] = {}
         for col, tab in enumerate(std):
             coords = ctx.straighten_terms(phi_eval_terms(tab, gen.i, gen.t, p))
             for s, v in coords.items():
-                block[tindex[s]][col] = v
-        rows.extend(block)
+                block.setdefault(s, {})[col] = v
+        rows.extend(block[s] for s in sorted(block))
     return MatrixGFp(len(rows), len(std), p, rows)
 
 

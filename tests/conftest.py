@@ -3,7 +3,9 @@
 Brute-force filling enumeration for Kostka numbers, the raw
 exterior-realization solve for straightening, and the generic tensor
 evaluation of phi_T (on the tensor a relation generator stands for) that
-the closed-form relation images are checked against.  The Kostka count is
+the closed-form relation images are checked against, and the relation
+matrix over every generator x_{i,t} (`reference_relation_matrix`), which
+`relation_matrix` cuts to the t that are powers of p.  The Kostka count is
 independent of the library.  `reference_straighten` is not: it skips the
 ones-step and the peel, but it realizes tableaux with `polyalg.dprime`, as
 `WeylContext._solve` does.  It solves by general elimination (`gfp.Echelon`),
@@ -38,11 +40,12 @@ import pytest
 
 import weylhom
 from weylhom.gfp import Echelon, MatrixGFp, add_scaled, binom_mod, check_prime
+from weylhom.homspace import phi_eval_terms
 from weylhom.polyalg import Monomial, dp_comult, dprime, mono, mono_degree
 from weylhom.shapes import partition
 from weylhom.specht import specht_rep, standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
-from weylhom.weyl import realize
+from weylhom.weyl import get_context, realize, relation_generators
 
 
 def run_python(args, str_digits=None) -> subprocess.CompletedProcess:
@@ -240,6 +243,25 @@ def generator_tensor(gen) -> tuple:
         mono({i: t, i + 1: lam[i] - t}) if j == i + 1 else mono({j: lam[j - 1]})
         for j in range(1, len(lam) + 1)
     )
+
+
+def reference_relation_matrix(lam, mu, p: int, keep=lambda t: True) -> MatrixGFp:
+    """The relation matrix over every generator x_{i,t} whose t passes keep
+    (all of them by default), one row per target tableau an image reaches;
+    built from the public `relation_generators`, `phi_eval_terms` and
+    `straighten_terms`, with no p-power rule."""
+    std = enumerate_standard(mu, lam)
+    ctx = get_context(mu, p)
+    rows = []
+    for gen in relation_generators(lam):
+        if not keep(gen.t):
+            continue
+        block = {}
+        for col, tab in enumerate(std):
+            for s, v in ctx.straighten_terms(phi_eval_terms(tab, gen.i, gen.t, p)).items():
+                block.setdefault(s, {})[col] = v
+        rows.extend(block.values())
+    return MatrixGFp(len(rows), len(std), p, rows)
 
 
 def reference_phi_terms(tab: Tableau, factors, p: int) -> list[tuple[int, Tableau]]:

@@ -189,6 +189,29 @@ def test_k_zero_with_huge_d_finishes(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_huge_prime_finishes():
+    # Miller-Rabin, not trial division up to 10^9
+    proc = run_module(["dim", "-p", "1000000000000000003", "--lambda", "1", "--mu", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "dim Hom(Delta(1), Delta(1)) = 1 over GF(1000000000000000003)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["dim", "-p", "3317044064679887385961981", "--lambda", "1", "--mu", "1"], "error: "),
+        (["scan", "--max-degree", "1", "--primes", "3317044064679887385961981"], "error: bad scan grid: "),
+    ],
+)
+def test_modulus_past_the_primality_bound_exits_one(capsys, argv, prefix):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (
+        f"{prefix}modulus 3317044064679887385961981 is too large: primality is"
+        " decided exactly below 3317044064679887385961981\n"
+    )
+
+
 # a limit of 0 switches Python's int-to-str check off; the first-row rule
 # then falls back to the interpreter default of 4300 digits
 STR_DIGITS = pytest.mark.parametrize("str_digits", [None, "0"], ids=["limit-unset", "limit-0"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import from_dense, set_entry
 from weylhom.gfp import (
+    PRIMALITY_BOUND,
     Echelon,
     InconsistentSystemError,
     MatrixGFp,
@@ -16,6 +17,7 @@ from weylhom.gfp import (
     absorb_row,
     add_scaled,
     binom_mod,
+    check_prime,
     is_prime,
     reduce_lowest,
 )
@@ -86,6 +88,39 @@ def test_binom_matches_exact_at_large_primes(p):
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(0) and not is_prime(1) and not is_prime(-3)
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial(n)]
+
+
+def _strong_probable_prime(n, b):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(b, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_past_trial_division():
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    # strong pseudoprimes to every prime base up to 23 and up to 37: only the
+    # later witnesses expose them
+    for n, last in ((3825123056546413051, 23), (318665857834031151167461, 37)):
+        assert all(_strong_probable_prime(n, b) for b in range(2, last + 1) if is_prime(b))
+        assert not is_prime(n)
+
+
+def test_primality_bound_is_refused():
+    # the bound is a strong pseudoprime to all 13 witnesses, so Miller-Rabin
+    # on them would call it prime; it is refused instead
+    n = PRIMALITY_BOUND
+    assert all(_strong_probable_prime(n, b) for b in range(2, 42) if is_prime(b))
+    assert is_prime(n - 2) is False
+    for m in (n, n + 2, 2**127 - 1):
+        with pytest.raises(NonPrimeModulusError, match="decided exactly below"):
+            check_prime(m)
 
 
 def test_kernel_zero_matrix():

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from conftest import assert_canonical, generator_tensor, reference_phi_terms, run_python
+from conftest import (
+    assert_canonical,
+    generator_tensor,
+    reference_phi_terms,
+    reference_relation_matrix,
+    run_python,
+)
 from weylhom.gfp import binom_mod
 from weylhom.homspace import (
     HomElement,
@@ -170,10 +176,45 @@ def test_phi_eval_trims_emptied_last_column():
 def test_relation_matrix_examples():
     m = relation_matrix((4,), (4,), 3)
     assert (m.nrows, m.ncols) == (0, 1)
+    # every image vanishes mod 3, so no target row is reached
     m = relation_matrix((8, 3), (11,), 3)
-    assert m.ncols == 1 and all(not row for row in m.rows)
+    assert (m.nrows, m.ncols) == (0, 1)
+    # t = 1 and t = 3 reach the one target, t = 2 is no power of 3
     m = relation_matrix((11, 3), (14,), 3)
-    assert m.ncols == 1 and any(row for row in m.rows)
+    assert (m.nrows, m.ncols) == (1, 1) and m.rows == [{0: 1}]
+
+
+def _kernel_pairs():
+    for r in range(1, 7):
+        shapes = all_partitions(r)
+        for p in (2, 3, 5):
+            yield from ((lam, mu, p) for lam in shapes for mu in shapes)
+    # longer rows, where more t are no power of p (3, 5, 6, 7, 9 at p = 2;
+    # 2, 4, 5, 6, 7, 8 at p = 3) and are dropped
+    for lam, mu in [((9, 9), (18,)), ((8, 4, 4), (10, 6)), ((4, 4, 4, 4), (8, 8))]:
+        for p in (2, 3):
+            yield lam, mu, p
+
+
+def test_p_power_generators_keep_the_kernel_of_all_generators():
+    # relation_matrix keeps only t = p^j; the matrix over every t must have
+    # the same reduced kernel basis
+    checked = 0
+    for lam, mu, p in _kernel_pairs():
+        if not enumerate_standard(mu, lam):
+            continue
+        want = [list(h.coeffs) for h in hom_dim(lam, mu, p)[1]]
+        assert reference_relation_matrix(lam, mu, p).kernel_basis() == want, (lam, mu, p)
+        checked += 1
+    assert checked == 357
+
+
+@pytest.mark.parametrize("lam, mu, p", [((5, 2), (7,), 2), ((5, 3), (8,), 3)])
+def test_rows_of_t_equal_p_are_needed(lam, mu, p):
+    # the t = 1 rows alone leave a spurious map; the t = p row removes it
+    ones_only = reference_relation_matrix(lam, mu, p, keep=lambda t: t == 1)
+    assert len(ones_only.kernel_basis()) == 1
+    assert hom_dim(lam, mu, p) == (0, [])
 
 
 def test_hom_dim_hook_examples():

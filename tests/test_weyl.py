@@ -8,6 +8,7 @@ from conftest import (
     compositions_of,
     generator_tensor,
     is_class_a,
+    reference_relation_matrix,
     reference_straighten,
     standard_image_matrix,
 )
@@ -16,7 +17,6 @@ from weylhom.gfp import Echelon, InconsistentSystemError
 from weylhom.polyalg import mono
 from weylhom.shapes import all_partitions, composition
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
-from weylhom.homspace import relation_matrix
 from weylhom.weyl import (
     StraighteningLimitError,
     WeylContext,
@@ -199,8 +199,8 @@ def test_column_word_examples():
 @pytest.mark.parametrize("p", [2, 3])
 def test_lowest_term_solve_matches_reference(monkeypatch, p):
     # every tableau that reaches the exterior solve while the relation
-    # matrices of all pairs of degree <= 6 are built gets the expansion of
-    # the general-elimination reference
+    # matrices of all pairs of degree <= 6 are built, over every generator,
+    # gets the expansion of the general-elimination reference
     solve = WeylContext._solve
     seen = 0
 
@@ -217,7 +217,7 @@ def test_lowest_term_solve_matches_reference(monkeypatch, p):
         for lam in shapes:
             for mu in shapes:
                 if enumerate_standard(mu, lam):
-                    relation_matrix(lam, mu, p)
+                    reference_relation_matrix(lam, mu, p)
     assert seen
 
 
@@ -406,7 +406,8 @@ def test_defining_relations_straighten_to_zero(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_ones_step_terms_are_canonical(monkeypatch, p):
     # the ones-step builds its terms without validation; check every term it
-    # produces while straightening the relation images of degree <= 6
+    # produces while straightening the relation images of degree <= 6 (of
+    # every generator)
     ones_step = WeylContext._ones_step
     seen = 0
 
@@ -424,7 +425,7 @@ def test_ones_step_terms_are_canonical(monkeypatch, p):
         for lam in shapes:
             for mu in shapes:
                 if enumerate_standard(mu, lam):
-                    relation_matrix(lam, mu, p)
+                    reference_relation_matrix(lam, mu, p)
     assert seen
 
 
