@@ -1,5 +1,7 @@
 """Divided-power monomials and tensors, comultiplication, and the exterior
 realization map sending a shape-mu tensor into the column wedge space.
+A realization is symmetric under permuting columns of equal height, so it
+is returned on the representatives of that symmetry only (see `dprime`).
 
 Monomials are tuples of (entry, exponent) pairs with entries ascending, so
 1^(3)2^(2)4 is ((1, 3), (2, 2), (4, 1)).  Comultiplication splits
@@ -95,8 +97,9 @@ def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
 
 
 def tensor_expansion_count(shape, factors) -> int:
-    """Number of raw terms the exterior expansion of the tensor would touch:
-    the product over rows of multinomial(mu_i; entry counts)."""
+    """Number of raw terms the exterior expansion of the tensor would touch
+    when dealt over every column order: the product over rows of
+    multinomial(mu_i; entry counts)."""
     total = 1
     for mu_i, factor in zip(shape, factors):
         row = math.factorial(mu_i)
@@ -107,14 +110,28 @@ def tensor_expansion_count(shape, factors) -> int:
 
 
 def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial, int]:
-    """Exterior realization of a shape-`shape` tensor of monomials.
+    """Exterior realization of a shape-`shape` tensor of monomials, kept on
+    the representatives of its column symmetry.
 
     Row i's entries are dealt into columns 1..shape[i], one per column, over
-    all distinct arrangements, cell by cell in row-major order.  Each column
-    wedges its cells top to bottom: a column stays sorted as it fills, an
-    entry it already holds is skipped (the wedge is zero), and an entry
-    inserted below k larger ones flips the sign k times.  The result is a
-    sparse vector over column-strict exterior monomials mod p.
+    all distinct arrangements.  Each column wedges its cells top to bottom:
+    an entry it already holds is skipped (the wedge is zero), and an entry
+    inserted below k larger ones flips the sign k times.  Two columns of
+    equal height are covered by the same rows, so swapping them maps a
+    dealing to one with the same row contents and the same sign: the full
+    realization is invariant under permuting the columns within each block
+    of equal height, and its coefficients on the representative keys, whose
+    columns are lexicographically non-decreasing within each block, fix it.
+    Only those are returned, so nothing is lost.  The column word of a
+    standard tableau is a representative.
+
+    The columns are dealt left to right.  A column is dropped as soon as it
+    takes an entry below the least entry of its left neighbour in the same
+    block, or is complete and sorts below that neighbour.  The columns only
+    row 1 covers form the last block; its one representative is row 1's
+    leftovers in ascending order, so they are not dealt.  The result is a
+    sparse vector mod p.  `limit` bounds `tensor_expansion_count`, the size
+    of the full dealing.
     """
     shape = tuple(shape)
     factors = tuple(mono(f) for f in factors)
@@ -123,41 +140,62 @@ def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial
     for mu_i, f in zip(shape, factors):
         if mono_degree(f) != mu_i:
             raise ValueError(f"factor {f} does not have degree {mu_i}")
+    if any(a < b for a, b in zip(shape, shape[1:])):
+        raise ValueError(f"shape {shape} is not weakly decreasing")
     if limit is not None and tensor_expansion_count(shape, factors) > limit:
         raise ExpansionLimitError(
             f"expansion of shape {shape} tensor exceeds {limit} terms"
         )
     acc: dict[ExtMonomial, int] = {}
-    columns: list[list[int]] = [[] for _ in range(shape[0] if shape else 0)]
-    # one (entries left in the row, column) pair per cell, in row-major order
-    cells = [
-        (left, columns[j])
-        for left, width in zip(map(dict, factors), shape)
-        for j in range(width)
-    ]
+    left = [dict(f) for f in factors]
+    row1 = left[0] if left else {}
+    # the heights of the columns that are dealt: those of height >= 2
+    dealt = shape[1] if len(shape) > 1 else 0
+    heights = [sum(1 for mu_i in shape if mu_i > j) for j in range(dealt)]
+    columns: list[tuple[int, ...]] = [()] * len(heights)
 
-    def place(n, sign):
-        if n == len(cells):
-            key = tuple(map(tuple, columns))
-            v = (acc.get(key, 0) + sign) % p
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-            return
-        left, column = cells[n]
-        for e in left:
-            if not left[e]:
+    def deal(j, i, column, prev, sign):
+        """Yield the sign of each way to finish column j from row i down.
+        While the caller holds a yield, the column is in columns[j] and its
+        entries are out of their rows.  `prev` is the left neighbour in the
+        block, or () for the first column of a block."""
+        row = left[i]
+        completes = i + 1 == heights[j]
+        floor = prev[0] if prev else -math.inf
+        for e in row:
+            if e < floor or not row[e]:
                 continue
             pos = bisect_left(column, e)
             larger = len(column) - pos
             if larger and column[pos] == e:
                 continue
-            left[e] -= 1
-            column.insert(pos, e)
-            place(n + 1, -sign if larger % 2 else sign)
-            del column[pos]
-            left[e] += 1
+            s = -sign if larger % 2 else sign
+            filled = column[:pos] + (e,) + column[pos:]
+            row[e] -= 1
+            if not completes:
+                yield from deal(j, i + 1, filled, prev, s)
+            elif filled >= prev:
+                columns[j] = filled
+                yield s
+            row[e] += 1
 
-    place(0, 1)
+    # one generator per column being dealt, under a root that yields the
+    # starting sign once; stack depth is the height of one column
+    stack = [iter((1,))]
+    while stack:
+        sign = next(stack[-1], None)
+        if sign is None:
+            stack.pop()
+            continue
+        j = len(stack) - 1
+        if j < len(heights):
+            prev = columns[j - 1] if j and heights[j - 1] == heights[j] else ()
+            stack.append(deal(j, 0, (), prev, sign))
+            continue
+        key = tuple(columns) + tuple((e,) for e, c in row1.items() for _ in range(c))
+        v = (acc.get(key, 0) + sign) % p
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
     return acc

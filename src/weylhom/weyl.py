@@ -22,6 +22,15 @@ exterior monomial, with coefficient 1 (the leading-term half of the standard
 basis theorem, Akin-Buchsbaum-Weyman 1982), so the standard images form a
 unitriangular basis and `gfp.reduce_lowest` solves against it term by term.
 Each weight space checks every such unit lead on first use.
+
+Realizations are kept on the representatives of their column symmetry
+(`polyalg.dprime`): every realization is unchanged by swapping two columns
+of equal height, and restricting such vectors to the monomials whose
+columns are non-decreasing within each block of equal height is injective.
+A column word of a standard tableau is such a monomial, since its columns
+increase entrywise left to right, so it is still the unit lowest term; a
+reduction that ends at zero on the representatives ends at zero on the
+full vectors, and the unit-lead check means what it meant before.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass, field
 from . import config
 from .gfp import InconsistentSystemError, add_scaled, binom_mod, check_prime, reduce_lowest
 from .polyalg import ExpansionLimitError, bounded_compositions, dprime, mono
-from .shapes import composition, partition
+from .shapes import partition
 from .tableaux import Tableau, enumerate_standard
 
 
@@ -51,12 +60,6 @@ class RelationGenerator:
     lam: tuple[int, ...]
     i: int
     t: int
-
-    @property
-    def weight(self) -> tuple[int, ...]:
-        """lam with t moved from entry i+1 to entry i."""
-        lam, i, t = self.lam, self.i, self.t
-        return composition(lam[: i - 1] + (lam[i - 1] + t, lam[i] - t) + lam[i + 1 :])
 
 
 def relation_generators(lam) -> list[RelationGenerator]:
@@ -251,8 +254,10 @@ def two_row_straighten(tab: Tableau, p: int) -> WeylCoords:
 
 
 def realize(mu, tab: Tableau, p: int) -> dict:
-    """Exterior realization of the class [tab] of shape mu, within the term
-    budget WEYLHOM_EXPANSION_LIMIT (ExpansionLimitError beyond it)."""
+    """Exterior realization of the class [tab] of shape mu, on the
+    representatives of its column symmetry, within the term budget
+    WEYLHOM_EXPANSION_LIMIT on the full dealing (ExpansionLimitError beyond
+    it)."""
     factors = [mono({j + 1: c for j, c in enumerate(row)}) for row in tab.counts]
     return dprime(mu, factors, p, limit=config.expansion_limit())
 

@@ -6,13 +6,18 @@ evaluation of phi_T (on the tensor a relation generator stands for) that
 the closed-form relation images are checked against, and the relation
 matrix over every generator x_{i,t} (`reference_relation_matrix`), which
 `relation_matrix` cuts to the t that are powers of p.  The Kostka count is
-independent of the library.  `reference_straighten` is not: it skips the
-ones-step and the peel, but it realizes tableaux with `polyalg.dprime`, as
-`WeylContext._solve` does.  It solves by general elimination (`gfp.Echelon`),
-where `_solve` reduces by lowest terms against the unitriangular standard
-images.  `standard_image_matrix` builds those images as one matrix over a
-sorted monomial index, for the full-rank checks.  `dprime` itself is
-checked against a brute-force dealing that shares nothing with it
+independent of the library.  `reference_straighten` skips the ones-step
+and the peel, and realizes tableaux with `reference_dprime`, the full
+dealing over every column order that `polyalg.dprime` computed before it
+kept only the representatives of the column symmetry; so it shares no
+realization code with `WeylContext._solve`.  It solves by general
+elimination (`gfp.Echelon`), where `_solve` reduces by lowest terms against
+the unitriangular standard images.  `orbit_expansion` turns a
+representative vector back into the full one, and `is_representative`
+checks a key.  `standard_image_matrix` builds the library's standard
+images as one matrix over a sorted monomial index, for the full-rank
+checks.  `dprime` itself is checked against a brute-force dealing that
+shares nothing with it
 (`test_polyalg.py::test_dprime_matches_brute_force_dealing`).
 `reference_specht_gens` is the Specht oracle's brute-force construction: a
 fresh polytabloid and an `Echelon.solve` for every adjacent transposition
@@ -23,8 +28,9 @@ spanning tree or early stop.
 
 The reference implementations the library itself never runs live here too:
 dense and entrywise matrix construction (`from_dense`, `set_entry`), the
-divided-power product `dp_mult`, and on partitions `transpose`, `dominates`
-and the Weyl dimension formula `weyl_dimension`.
+divided-power product `dp_mult`, on partitions `transpose`, `dominates`
+and the Weyl dimension formula `weyl_dimension`, and the weight of a
+relation generator (`generator_weight`).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import itertools
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,8 +48,16 @@ import pytest
 import weylhom
 from weylhom.gfp import Echelon, MatrixGFp, add_scaled, binom_mod, check_prime
 from weylhom.homspace import phi_eval_terms
-from weylhom.polyalg import Monomial, dp_comult, dprime, mono, mono_degree
-from weylhom.shapes import partition
+from weylhom.polyalg import (
+    ExpansionLimitError,
+    ExtMonomial,
+    Monomial,
+    dp_comult,
+    mono,
+    mono_degree,
+    tensor_expansion_count,
+)
+from weylhom.shapes import composition, partition
 from weylhom.specht import specht_rep, standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
 from weylhom.weyl import get_context, realize, relation_generators
@@ -199,13 +214,106 @@ def tableau_monomials(tab: Tableau):
     return [mono({j + 1: c for j, c in enumerate(row)}) for row in tab.counts]
 
 
+def reference_dprime(
+    shape, factors, p: int, limit: int | None = None
+) -> dict[ExtMonomial, int]:
+    """Exterior realization of a shape-`shape` tensor of monomials, over
+    every column order.
+
+    Row i's entries are dealt into columns 1..shape[i], one per column, over
+    all distinct arrangements, cell by cell in row-major order.  Each column
+    wedges its cells top to bottom: a column stays sorted as it fills, an
+    entry it already holds is skipped (the wedge is zero), and an entry
+    inserted below k larger ones flips the sign k times.  The result is a
+    sparse vector over column-strict exterior monomials mod p.
+    """
+    shape = tuple(shape)
+    factors = tuple(mono(f) for f in factors)
+    if len(factors) != len(shape):
+        raise ValueError(f"tensor has {len(factors)} factors for shape {shape}")
+    for mu_i, f in zip(shape, factors):
+        if mono_degree(f) != mu_i:
+            raise ValueError(f"factor {f} does not have degree {mu_i}")
+    if limit is not None and tensor_expansion_count(shape, factors) > limit:
+        raise ExpansionLimitError(
+            f"expansion of shape {shape} tensor exceeds {limit} terms"
+        )
+    acc: dict[ExtMonomial, int] = {}
+    columns: list[list[int]] = [[] for _ in range(shape[0] if shape else 0)]
+    # one (entries left in the row, column) pair per cell, in row-major order
+    cells = [
+        (left, columns[j])
+        for left, width in zip(map(dict, factors), shape)
+        for j in range(width)
+    ]
+
+    def place(n, sign):
+        if n == len(cells):
+            key = tuple(map(tuple, columns))
+            v = (acc.get(key, 0) + sign) % p
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
+            return
+        left, column = cells[n]
+        for e in left:
+            if not left[e]:
+                continue
+            pos = bisect_left(column, e)
+            larger = len(column) - pos
+            if larger and column[pos] == e:
+                continue
+            left[e] -= 1
+            column.insert(pos, e)
+            place(n + 1, -sign if larger % 2 else sign)
+            del column[pos]
+            left[e] += 1
+
+    place(0, 1)
+    return acc
+
+
+def column_blocks(shape) -> list[range]:
+    """The column indices of each block of equal-height columns of shape,
+    left to right."""
+    heights = [sum(1 for mu_i in shape if mu_i > j) for j in range(shape[0] if shape else 0)]
+    blocks: list[range] = []
+    start = 0
+    for j in range(1, len(heights) + 1):
+        if j == len(heights) or heights[j] != heights[start]:
+            blocks.append(range(start, j))
+            start = j
+    return blocks
+
+
+def is_representative(shape, key) -> bool:
+    """Whether the columns of key are lexicographically non-decreasing within
+    every block of equal-height columns of shape."""
+    return all(key[j] <= key[j + 1] for block in column_blocks(shape) for j in block[:-1])
+
+
+def orbit_expansion(shape, vec) -> dict:
+    """The full vector that a vector on representative keys stands for:
+    every distinct reordering of the columns within each block of a key
+    gets that key's coefficient."""
+    blocks = column_blocks(shape)
+    full = {}
+    for key, v in vec.items():
+        orders = [set(itertools.permutations(key[j] for j in block)) for block in blocks]
+        for choice in itertools.product(*orders):
+            full[tuple(col for part in choice for col in part)] = v
+    return full
+
+
 def reference_straighten(mu, tab: Tableau, p: int) -> dict[Tableau, int]:
-    """Straighten [tab] purely by solving against the exterior realizations of
-    the standard tableaux; shares nothing with the closed-form paths."""
+    """Straighten [tab] purely by solving against the full exterior
+    realizations of the standard tableaux; shares nothing with the
+    closed-form paths or with the library's realization."""
     mu = tuple(mu)
     std = enumerate_standard(mu, tab.weight)
-    images = [dprime(mu, tableau_monomials(t), p) for t in std]
-    target = dprime(mu, tableau_monomials(tab), p)
+    images = [reference_dprime(mu, tableau_monomials(t), p) for t in std]
+    target = reference_dprime(mu, tableau_monomials(tab), p)
     if not std:
         assert not target, f"{tab.render()} nonzero in an empty weight space"
         return {}
@@ -243,6 +351,13 @@ def generator_tensor(gen) -> tuple:
         mono({i: t, i + 1: lam[i] - t}) if j == i + 1 else mono({j: lam[j - 1]})
         for j in range(1, len(lam) + 1)
     )
+
+
+def generator_weight(gen) -> tuple[int, ...]:
+    """The weight of the relation generator x_{i,t}: lam with t moved from
+    entry i+1 to entry i."""
+    lam, i, t = gen.lam, gen.i, gen.t
+    return composition(lam[: i - 1] + (lam[i - 1] + t, lam[i] - t) + lam[i + 1 :])
 
 
 def reference_relation_matrix(lam, mu, p: int, keep=lambda t: True) -> MatrixGFp:

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     assert_canonical,
     generator_tensor,
+    generator_weight,
     reference_phi_terms,
     reference_relation_matrix,
     run_python,
@@ -376,9 +377,10 @@ def test_verify_stabilization_small_grid():
 def test_phi_eval_weight_bookkeeping():
     T = enumerate_standard((2, 2), (1, 1, 1, 1))[0]
     gen = relation_generators((1, 1, 1, 1))[0]
-    assert gen.weight == (2, 0, 1, 1)
+    weight = generator_weight(gen)
+    assert weight == (2, 0, 1, 1)
     terms = phi_eval_terms(T, gen.i, gen.t, 3)
-    assert terms and all(tab.shape == (2, 2) and tab.weight == gen.weight for _, tab in terms)
+    assert terms and all(tab.shape == (2, 2) and tab.weight == weight for _, tab in terms)
 
 
 def test_phi_eval_generator_validation():

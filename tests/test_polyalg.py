@@ -5,7 +5,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import compositions_of, distinct_permutations, dp_mult
+from conftest import (
+    compositions_of,
+    distinct_permutations,
+    dp_mult,
+    is_representative,
+    orbit_expansion,
+)
 from weylhom.polyalg import (
     ExpansionLimitError,
     bounded_compositions,
@@ -159,8 +165,11 @@ def test_dprime_matches_brute_force_dealing():
     for shape, factors in cases:
         for p in (2, 3, 5):
             expected = _dprime_bruteforce(shape, factors, p)
-            assert dprime(shape, factors, p) == expected, (shape, factors, p)
-    assert dprime((2, 0, 0), cases[1][1], 3) == {((1,), (2,)): 1, ((2,), (1,)): 1}
+            got = dprime(shape, factors, p)
+            assert all(is_representative(shape, key) for key in got), (shape, factors, p)
+            assert orbit_expansion(shape, got) == expected, (shape, factors, p)
+    # the two height-1 columns form one block: only its sorted order is kept
+    assert dprime((2, 0, 0), cases[1][1], 3) == {((1,), (2,)): 1}
 
 
 def test_dprime_shape_validation():
@@ -168,6 +177,22 @@ def test_dprime_shape_validation():
         dprime((2, 1), [mono({1: 2})], 3)
     with pytest.raises(ValueError):
         dprime((2,), [mono({1: 1})], 3)
+
+
+def test_dprime_needs_a_weakly_decreasing_shape():
+    # the column blocks are read off a partition; trailing zero rows are fine
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        dprime((1, 2), [mono({1: 1}), mono({2: 2})], 3)
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        dprime((2, 0, 1), [mono({1: 2}), (), mono({2: 1})], 3)
+    assert dprime((1, 1, 0), [mono({1: 1}), mono({2: 1}), ()], 3) == {((1, 2),): 1}
+
+
+def test_dprime_depth_does_not_grow_with_the_width():
+    # 960 cells in 480 columns of height 2: the dealing recurses only down
+    # a column, so the default recursion limit is far away
+    v = dprime((480, 480), [mono({1: 480}), mono({2: 480})], 3)
+    assert v == {((1, 2),) * 480: 1}
 
 
 def test_dprime_standard_classes_are_nonzero():

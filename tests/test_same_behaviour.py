@@ -6,8 +6,11 @@ horizontal-strip enumerator replaced the row-by-row one.  The Specht digest
 was recorded before Young's rule replaced a fresh polytabloid and a solve
 for every adjacent transposition and standard tableau.  The Specht Hom
 digest was recorded before the Hom solve on one cyclic generator replaced
-the full intertwiner system in all fa * fb entries.  A change that
-alters any of these outputs on purpose must say why and re-record."""
+the full intertwiner system in all fa * fb entries.  The degree-8 p = 2
+scan digest was recorded before the exterior realizations were kept on the
+representatives of their column symmetry; that scan makes about two
+thousand exterior solves.  A change that alters any of these outputs on
+purpose must say why and re-record."""
 
 import hashlib
 
@@ -21,6 +24,7 @@ from weylhom.specht import specht_hom_dim, specht_rep
 from weylhom.tableaux import enumerate_standard
 
 SCAN_DIGEST = "01ec56f0a00e6a402b8acecf881320d9c41c422b11949c205fba1837163b8745"
+SCAN_DEG8_P2_DIGEST = "4d97adae386ae31771bfb13bc8f81daf6f4c16abc8bb4977963843142a6f66d4"
 HOM_DEG7_P2_DIGEST = "67e66951753988c68b0e4396b901a8fc7fa9e39b8f468df4f46937f88195a59f"
 ENUMERATE_DIGEST = "81c50d554ebcee6595fb1e286b7ca80b88f882d69cca0f7a65ba1fea9933fa17"
 SPECHT_GENS_DIGEST = "10aa92b45bbb1097ae92aab7e32db47989fd7d4a3524dea09a61bf4a0715660e"
@@ -43,6 +47,13 @@ def test_scan_json_is_unchanged(capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_DIGEST
+
+
+def test_scan_json_degree_8_p2_is_unchanged(capsys):
+    argv = ["scan", "--max-degree", "8", "--primes", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_DEG8_P2_DIGEST
 
 
 def test_hom_bases_degree_7_p2_are_unchanged():

@@ -7,10 +7,14 @@ from conftest import (
     assert_canonical,
     compositions_of,
     generator_tensor,
+    generator_weight,
     is_class_a,
+    orbit_expansion,
+    reference_dprime,
     reference_relation_matrix,
     reference_straighten,
     standard_image_matrix,
+    tableau_monomials,
 )
 import weylhom.weyl as weyl
 from weylhom.gfp import Echelon, InconsistentSystemError
@@ -36,8 +40,8 @@ def test_relation_generators_two_rows():
     assert generator_tensor(gens[0]) == (mono({1: 8}), mono({1: 1, 2: 2}))
     assert generator_tensor(gens[1]) == (mono({1: 8}), mono({1: 2, 2: 1}))
     assert generator_tensor(gens[2]) == (mono({1: 8}), mono({1: 3}))
-    assert gens[0].weight == (9, 2)
-    assert gens[2].weight == (11,)
+    assert generator_weight(gens[0]) == (9, 2)
+    assert generator_weight(gens[2]) == (11,)
 
 
 def test_relation_generators_trivial_and_column():
@@ -50,7 +54,7 @@ def test_relation_generators_trivial_and_column():
         mono({2: 1}),
         mono({4: 1}),
     )
-    assert gens[1].weight == (1, 2, 0, 1)
+    assert generator_weight(gens[1]) == (1, 2, 0, 1)
 
 
 def test_relation_generator_weight_is_its_tensor_weight():
@@ -63,7 +67,9 @@ def test_relation_generator_weight_is_its_tensor_weight():
                     for e, c in factor:
                         totals[e] += c
                 width = max(totals)
-                assert gen.weight == tuple(totals[e] for e in range(1, width + 1)), gen
+                assert generator_weight(gen) == tuple(
+                    totals[e] for e in range(1, width + 1)
+                ), gen
 
 
 def test_two_row_examples():
@@ -176,7 +182,8 @@ def test_standard_image_full_rank_sweep():
 def test_standard_images_have_unit_lowest_terms(p):
     # the lowest exterior monomial of realize(S) is the column word of S,
     # with coefficient 1, for every standard S of degree <= 6 and every
-    # weight of at most 6 parts
+    # weight of at most 6 parts; and realize(S), expanded over the column
+    # orders within each block, is the full dealing
     checked = 0
     for r in range(0, 7):
         weights = {composition(a) for a in compositions_of(r, r)}
@@ -186,6 +193,8 @@ def test_standard_images_have_unit_lowest_terms(p):
                     image = realize(mu, std, p)
                     lead = column_word(std)
                     assert min(image) == lead and image[lead] == 1, (mu, std.render())
+                    full = reference_dprime(mu, tableau_monomials(std), p)
+                    assert orbit_expansion(mu, image) == full, (mu, std.render())
                     checked += 1
     assert checked == 6_444
 
