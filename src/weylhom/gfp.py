@@ -3,7 +3,9 @@
 Everything is integer arithmetic on residues in [0, p).  No floats, no
 probabilistic shortcuts: ranks and kernels are exact.  Elimination computes
 the reduced echelon form, which depends only on the row space and not on the
-order rows are absorbed in, so bases are reproducible across runs; a linear
+order rows are absorbed in, so bases are reproducible across runs.  Its
+back-substitution touches each pivot row only at the pivot columns that row
+holds, so it costs in proportion to the nonzeros, not to rank^2; a linear
 system is solved by reading the kernel of its augmented matrix.  A basis
 that is already unitriangular (each element has its own lowest key, with
 coefficient 1) needs no elimination at all: `reduce_lowest` solves against
@@ -175,7 +177,9 @@ class Echelon:
     and repeated rows add nothing to the row space, and the reduced form does
     not depend on the absorption order.  The rank is the number of pivots,
     known once every row is absorbed; back-substitution waits until
-    `pivot_rows` or `kernel_basis` first needs the reduced form.
+    `pivot_rows` or `kernel_basis` first needs the reduced form.  It costs,
+    per pivot row, the row's length plus the lengths of the pivot rows whose
+    columns it holds; `kernel_basis` then reads each reduced row once.
     """
 
     def __init__(self, matrix: MatrixGFp):
@@ -204,7 +208,14 @@ class Echelon:
         return self._pivots
 
     def _back_substitute(self) -> None:
-        """Clear every pivot column above its pivot; once."""
+        """Clear every pivot column above its pivot; once.
+
+        Rows are finished from the highest lead down.  A finished row holds
+        no pivot column but its own lead, so subtracting it from a lower row
+        clears one pivot column and brings in no other: each row is reduced
+        only at the pivot columns it held after elimination, and the cost
+        follows the nonzeros of the rows involved, not rank^2.
+        """
         if self._reduced:
             return
         self._reduced = True
@@ -212,28 +223,27 @@ class Echelon:
         pivots = self._pivots
         for lead in sorted(pivots, reverse=True):
             row = pivots[lead]
-            for other_lead, other in pivots.items():
-                if other_lead >= lead:
-                    continue
-                factor = other.get(lead, 0)
-                if not factor:
-                    continue
-                add_scaled(other, -factor, row, p)
+            for col in [j for j in row if j != lead and j in pivots]:
+                add_scaled(row, -row[col], pivots[col], p)
 
     def kernel_basis(self) -> list[list[int]]:
         """Reduced basis of the right kernel, one vector per free column, ascending."""
-        p = self.p
+        p, n = self.p, self.ncols
         pivot_rows = self.pivot_rows
+        # free column -> [(lead, entry)] over the reduced pivot rows holding it
+        held: dict[int, list[tuple[int, int]]] = {}
+        for lead, row in pivot_rows.items():
+            for j, c in row.items():
+                if j != lead:
+                    held.setdefault(j, []).append((lead, c))
         basis = []
-        for free in range(self.ncols):
+        for free in range(n):
             if free in pivot_rows:
                 continue
-            v = [0] * self.ncols
+            v = [0] * n
             v[free] = 1
-            for lead, row in pivot_rows.items():
-                c = row.get(free, 0)
-                if c:
-                    v[lead] = (-c) % p
+            for lead, c in held.get(free, ()):
+                v[lead] = -c % p
             basis.append(v)
         return basis
 

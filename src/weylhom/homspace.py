@@ -50,24 +50,33 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     order of (s_r); those whose coefficient vanishes mod p are dropped.
     """
     check_prime(p)
-    if not 1 <= i < tab.width:
-        raise ValueError(f"generator index {i} outside 1..{tab.width - 1}")
-    caps = [row[i] for row in tab.counts]
-    if not 0 <= t <= sum(caps):
-        raise ValueError(f"generator x_({i},{t}) needs 0 <= t <= {sum(caps)}")
+    counts = tab.counts
+    width = len(counts[0]) if counts else 0
+    if not 1 <= i < width:
+        raise ValueError(f"generator index {i} outside 1..{width - 1}")
+    caps = [row[i] for row in counts]
+    room = sum(caps)
+    if not 0 <= t <= room:
+        raise ValueError(f"generator x_({i},{t}) needs 0 <= t <= {room}")
     # moving every entry of the last column empties it; each term drops it
-    trim = tab.width - 1 if i == tab.width - 1 and t == sum(caps) else None
+    trim = width - 1 if i == width - 1 and t == room else None
+    # rows without an i+1 are the same in every term
+    rows = [row[:trim] for row in counts]
+    slots = [r for r, c in enumerate(caps) if c]
     terms: list[tuple[int, Tableau]] = []
     for comp in bounded_compositions(t, caps):
         coeff = 1
-        counts = []
-        for row, s in zip(tab.counts, comp):
+        for r in slots:
+            row = counts[r]
+            s = comp[r]
             if s:
                 coeff = coeff * binom_mod(row[i - 1] + s, s, p) % p
+                if not coeff:
+                    break
                 row = row[: i - 1] + (row[i - 1] + s, row[i] - s) + row[i + 1 :]
-            counts.append(row[:trim])
-        if coeff:
-            terms.append((coeff, Tableau._of(tuple(counts))))
+            rows[r] = row[:trim]
+        else:
+            terms.append((coeff, Tableau._of(tuple(rows))))
     return terms
 
 

@@ -40,26 +40,64 @@ def mono_degree(m: Monomial) -> int:
 
 def bounded_compositions(total: int, caps) -> list[tuple[int, ...]]:
     """All (v_1, ..., v_n) with sum `total` and 0 <= v_j <= caps[j], in
-    ascending lexicographic order; the last slot takes what is left."""
+    ascending lexicographic order.
+
+    Slots with cap 0 always hold 0, so only the others are stepped, by an
+    odometer without recursion: the lexicographically least completion of
+    a prefix pushes what is left as far right as the caps allow, and the
+    next composition raises the rightmost slot that still has room while
+    some slot after it is nonzero.  A total of sum(caps), or a single open
+    slot, gives one composition without stepping.  Each composition costs
+    O(n) to emit, however many caps there are.
+    """
+    caps = tuple(caps)
+    if caps and min(caps) < 0:
+        return []
+    room = sum(caps)
+    if not 0 <= total <= room:
+        return []
+    if total == room:
+        return [caps]
     n = len(caps)
-    if n == 0:
-        return [()] if total == 0 else []
-    out: list[tuple[int, ...]] = []
+    slots = [j for j in range(n) if caps[j]]
+    m = len(slots)
+    if m == 1:
+        # total < room = the one open cap
+        comp = [0] * n
+        comp[slots[0]] = total
+        return [tuple(comp)]
+    bound = [caps[j] for j in slots]
+    # after[k]: the room of the open slots after slot k
+    after = [0] * m
+    for k in range(m - 2, -1, -1):
+        after[k] = after[k + 1] + bound[k + 1]
+    vals = [0] * m
+
+    def least(k, left):
+        # the least completion of slots k.. that sums to left
+        for i in range(k, m):
+            v = left - after[i]
+            if v < 0:
+                v = 0
+            vals[i] = v
+            left -= v
+
+    least(0, total)
     comp = [0] * n
-    last = n - 1
-
-    def rec(j, left):
-        if j == last:
-            if 0 <= left <= caps[last]:
-                comp[last] = left
-                out.append(tuple(comp))
-            return
-        for v in range(min(caps[j], left) + 1):
+    out: list[tuple[int, ...]] = []
+    while True:
+        for j, v in zip(slots, vals):
             comp[j] = v
-            rec(j + 1, left - v)
-
-    rec(0, total)
-    return out
+        out.append(tuple(comp))
+        tail = vals[m - 1]
+        k = m - 2
+        while k >= 0 and not (tail and vals[k] < bound[k]):
+            tail += vals[k]
+            k -= 1
+        if k < 0:
+            return out
+        vals[k] += 1
+        least(k + 1, tail - 1)
 
 
 def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:

@@ -66,7 +66,7 @@ class Tableau:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
+        return tuple(map(sum, self.counts))
 
     @property
     def width(self) -> int:
@@ -174,27 +174,30 @@ def _enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
             (mu[0] - m,) + mu[1:], (alpha[0] - m,) + alpha[1:]
         )
         return tuple(t.plus(m) for t in reduced)
-    memo: dict[tuple[int, tuple[int, ...]], list] = {}
-
-    def strips(e, filled):
-        """Every sequence of strips for entries e+1.. that completes filled to mu."""
-        if e == len(alpha):
-            # alpha and mu have one degree, so filled is mu here
-            return [()]
-        key = (e, filled)
-        out = memo.get(key)
-        if out is None:
+    # the memo keys, by entry: forward from the empty filling, the strips of
+    # entry e from each `filled` the strips of the entries below reach
+    layers: list[dict[tuple[int, ...], list]] = [{(0,) * len(mu): []}]
+    for e in range(len(alpha)):
+        step: dict[tuple[int, ...], list] = {}
+        for filled, moves in layers[e].items():
             above = (mu[0],) + filled[:-1]
             caps = [min(m_i, a) - f for m_i, a, f in zip(mu, above, filled)]
-            out = memo[key] = [
-                (strip,) + rest
-                for strip in bounded_compositions(alpha[e], caps)
-                for rest in strips(e + 1, tuple(f + v for f, v in zip(filled, strip)))
+            for strip in bounded_compositions(alpha[e], caps):
+                after = tuple(f + v for f, v in zip(filled, strip))
+                moves.append((strip, after))
+                step.setdefault(after, [])
+        layers.append(step)
+    # alpha and mu have one degree, so the last layer holds only mu
+    memo: dict[tuple[int, tuple[int, ...]], list] = {(len(alpha), mu): [()]}
+    # backward: every sequence of strips for entries e+1.. that completes
+    # `filled` to mu, in the order of the strips and then of what follows
+    for e in range(len(alpha) - 1, -1, -1):
+        for filled, moves in layers[e].items():
+            memo[e, filled] = [
+                (strip,) + rest for strip, after in moves for rest in memo[e + 1, after]
             ]
-        return out
-
     # strip e is column e of the counts; rows of width len(alpha) with sums mu
-    rows = sorted(tuple(zip(*chain)) for chain in strips(0, (0,) * len(mu)))
+    rows = sorted(tuple(zip(*chain)) for chain in memo[0, (0,) * len(mu)])
     return tuple(map(Tableau._of, rows))
 
 

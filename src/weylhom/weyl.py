@@ -91,6 +91,8 @@ class WeylContext:
         self.mu = partition(mu)
         self.p = p
         self.fallback_solves = 0
+        # the context of mu[1:] that _peel straightens in, once first needed
+        self._sub: WeylContext | None = None
         self._expansions: dict[Tableau, dict[Tableau, int]] = {}
         # weight -> {lead: (standard tableau, its exterior realization)}
         self._bases: dict[tuple[int, ...], dict] = {}
@@ -99,23 +101,27 @@ class WeylContext:
 
     def straighten_tableau(self, tab: Tableau) -> dict[Tableau, int]:
         """Expansion of [tab] over the standard tableaux of its weight."""
-        if tab.shape != self.mu:
-            raise ValueError(f"tableau of shape {tab.shape} in context {self.mu}")
         cached = self._expansions.get(tab)
         if cached is None:
-            cached = self._compute(tab)
-            self._expansions[tab] = cached
+            # a cached tableau passed this check when it was computed
+            if tab.shape != self.mu:
+                raise ValueError(f"tableau of shape {tab.shape} in context {self.mu}")
+            cached = self._expansions[tab] = self._compute(tab)
         return cached
 
     def straighten_terms(self, terms) -> dict[Tableau, int]:
         """Expansion of a combination sum(coeff * [tab]) given as (coeff, tab) pairs."""
         p = self.p
+        expansions = self._expansions
         acc: dict[Tableau, int] = {}
         for coeff, tab in terms:
             coeff %= p
             if not coeff:
                 continue
-            add_scaled(acc, coeff, self.straighten_tableau(tab), p)
+            expansion = expansions.get(tab)
+            if expansion is None:
+                expansion = self.straighten_tableau(tab)
+            add_scaled(acc, coeff, expansion, p)
         return acc
 
     # -- straightening cases ---------------------------------------------
@@ -172,13 +178,27 @@ class WeylContext:
         Sound whenever no 1 lives below row 1 and row 1 carries at least mu_2
         ones: every reattachment is then automatically standard.  Reattaching
         is injective, so the coefficients carry over unchanged.
+
+        Both tableaux are built from counts already in canonical form.  The
+        rows below row 1 hold no 1, so dropping their first column and
+        trimming the all-zero columns at the end leaves tab's nonempty rows
+        of partition shape mu[1:].  A straightened tableau has the weight of
+        bar, hence its width; padding it back to tab's width under row 1
+        restores tab's weight, whose last entry is nonzero.
         """
-        sub_ctx = get_context(self.mu[1:], self.p)
-        bar = Tableau(tuple(row[1:] for row in tab.counts[1:]))
-        row1 = tab.counts[0]
+        sub = self._sub
+        if sub is None:
+            sub = self._sub = get_context(self.mu[1:], self.p)
+        rows = tab.counts[1:]
+        width = tab.width - 1
+        while not any(row[width] for row in rows):
+            width -= 1
+        bar = Tableau._of(tuple(row[1 : width + 1] for row in rows))
+        row1 = (tab.counts[0],)
+        pad = (0,) * (tab.width - 1 - width)
         return {
-            Tableau((row1,) + tuple((0,) + r for r in sbar.counts)): c
-            for sbar, c in sub_ctx.straighten_tableau(bar).items()
+            Tableau._of(row1 + tuple((0,) + r + pad for r in sbar.counts)): c
+            for sbar, c in sub.straighten_tableau(bar).items()
         }
 
     def _solve(self, tab: Tableau) -> dict[Tableau, int]:

@@ -26,6 +26,10 @@ and standard tableau, with no use of Young's rule.
 intertwiner system in all fa * fb entries of X, with no cyclic generator,
 spanning tree or early stop.
 
+`reference_rref` is dense Gauss-Jordan elimination over GF(p), column by
+column with row swaps, that `Echelon`'s sparse elimination and
+back-substitution are checked against.
+
 The reference implementations the library itself never runs live here too:
 dense and entrywise matrix construction (`from_dense`, `set_entry`), the
 divided-power product `dp_mult`, on partitions `transpose`, `dominates`
@@ -96,6 +100,41 @@ def from_dense(entries, p: int) -> MatrixGFp:
         for j, v in enumerate(row):
             set_entry(m, i, j, v)
     return m
+
+
+def reference_rref(m: MatrixGFp) -> tuple[dict[int, dict[int, int]], list[list[int]]]:
+    """Reduced row echelon form of m by dense Gauss-Jordan elimination: the
+    pivot rows keyed by pivot column, as sparse dicts, and the kernel basis
+    with one vector per free column, ascending, 1 there and 0 in the other
+    free columns."""
+    p, n = m.p, m.ncols
+    dense = [[row.get(j, 0) % p for j in range(n)] for row in m.rows]
+    leads = []
+    r = 0
+    for col in range(n):
+        pick = next((i for i in range(r, len(dense)) if dense[i][col]), None)
+        if pick is None:
+            continue
+        dense[r], dense[pick] = dense[pick], dense[r]
+        inv = pow(dense[r][col], -1, p)
+        dense[r] = [v * inv % p for v in dense[r]]
+        for i in range(len(dense)):
+            if i != r and dense[i][col]:
+                f = dense[i][col]
+                dense[i] = [(a - f * b) % p for a, b in zip(dense[i], dense[r])]
+        leads.append(col)
+        r += 1
+    pivots = {col: {j: v for j, v in enumerate(dense[k]) if v} for k, col in enumerate(leads)}
+    kernel = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [0] * n
+        v[free] = 1
+        for k, col in enumerate(leads):
+            v[col] = -dense[k][free] % p
+        kernel.append(v)
+    return pivots, kernel
 
 
 def dp_mult(m1: Monomial, m2: Monomial, p: int) -> tuple[int, Monomial]:

@@ -138,12 +138,26 @@ def test_verify_rejects_negative_k_and_d(capsys):
         assert err == f"error: {flag} must be nonnegative, got -1\n"
 
 
-def test_deep_input_exits_one_with_one_line(capsys):
-    # the strip enumeration recurses once per weight entry, so 1200 of them
-    # pass Python's recursion limit
-    code, out, err = run(capsys, "dim", "-p", "3", "--lambda", "1^1200", "--mu", "1200")
+def test_deep_input_exits_one_with_one_line(capsys, monkeypatch):
+    # input past Python's recursion limit, stood in for by a library call
+    # that raises RecursionError
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "hom_dim", too_deep)
+    code, out, err = run(capsys, "dim", "-p", "3", "--lambda", "2,1", "--mu", "3")
     assert code == 1 and out == ""
     assert err == "error: input too deep: Python's recursion limit was reached\n"
+
+
+def test_a_weight_of_1200_entries_is_computed(capsys):
+    # the strip enumeration takes one step per weight entry, with no frame
+    # per entry, so a weight 1^1200 is past no recursion limit
+    code, report = run_json(
+        capsys, "dim", "-p", "3", "--lambda", "1^1200", "--mu", "1200", "--format", "json"
+    )
+    assert code == 0
+    assert report["dim"] == 0 and report["std_count"] == 1
 
 
 def test_verify_refuses_a_first_row_too_long_to_print(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_dense, set_entry
+from conftest import from_dense, reference_rref, set_entry
 from weylhom.gfp import (
     PRIMALITY_BOUND,
     Echelon,
@@ -354,3 +354,34 @@ def test_echelon_ignores_row_order_repeats_and_empty_rows():
             bad[k] = (bad.get(k, 0) + 1) % p
             with pytest.raises(InconsistentSystemError):
                 other.solve(bad)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_echelon_matches_dense_gauss_jordan(p):
+    # sparse matrices up to 40 x 40, many of them rank-deficient (rows drawn
+    # from the span of a few) and with repeated rows: the reduced pivot rows
+    # and the kernel basis equal dense Gauss-Jordan's exactly, which takes
+    # back-substitution through many pivots
+    rng = random.Random(1800 + p)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(0, 41), rng.randrange(0, 41)
+        density = rng.choice([0.05, 0.1, 0.25, 0.5])
+        base = [
+            {j: v for j in range(ncols) if rng.random() < density and (v := rng.randrange(1, p))}
+            for _ in range(nrows if rng.random() < 0.5 else rng.randrange(1, 6))
+        ]
+        rows = []
+        for _ in range(nrows):
+            if rows and rng.random() < 0.2:
+                rows.append(dict(rng.choice(rows)))
+                continue
+            row: dict[int, int] = {}
+            for b in rng.sample(base, min(len(base), rng.randrange(1, 3))):
+                add_scaled(row, rng.randrange(1, p), b, p)
+            rows.append(row)
+        m = MatrixGFp(nrows, ncols, p, rows)
+        pivots, kernel = reference_rref(m)
+        ech = Echelon(m)
+        assert ech.pivot_rows == pivots
+        assert ech.kernel_basis() == kernel
+        assert ech.rank == len(pivots) == ncols - len(kernel)

@@ -224,6 +224,8 @@ def test_hom_dim_hook_examples():
     assert hom_dim((1, 1, 1, 1), (2, 2), 3)[0] == 1
     assert hom_dim((4, 1, 1, 1), (5, 2), 3)[0] == 0
     assert hom_dim((2,), (1, 1), 3) == (0, [])
+    # 500 weight entries: the standard enumeration needs no frame per entry
+    assert hom_dim((1,) * 500, (500,), 3) == (0, [])
     with pytest.raises(ValueError):
         hom_dim((2, 1), (2,), 3)
 

@@ -65,13 +65,35 @@ def test_dp_comult_trivial_and_thin():
 
 
 def test_bounded_compositions_match_brute_force_in_order():
-    # the one enumerator behind dp_comult and the two-row ones-step
-    for n in range(5):
-        for caps in itertools.product(range(4), repeat=n):
-            boxes = [range(k + 1) for k in caps]
-            for total in range(9):
-                expected = [c for c in itertools.product(*boxes) if sum(c) == total]
+    # the one enumerator behind dp_comult, the relation images, the strips of
+    # the standard enumeration and the two-row ones-step; zero caps mixed in,
+    # and totals from below 0 to past the sum of the caps
+    for n in range(8):
+        for caps in itertools.product(range(4 if n <= 4 else 3), repeat=n):
+            by_total: dict[int, list] = {}
+            for c in itertools.product(*[range(k + 1) for k in caps]):
+                by_total.setdefault(sum(c), []).append(c)
+            for total in range(-2, sum(caps) + 3):
+                expected = by_total.get(total, [])
                 assert bounded_compositions(total, caps) == expected, (total, caps)
+
+
+def test_bounded_compositions_of_many_caps_need_no_recursion():
+    # 3,000 caps, three of them open: the enumeration steps only those, with
+    # no frame per cap
+    caps = [0] * 3000
+    caps[5], caps[1700], caps[2999] = 1, 2, 1
+    comps = bounded_compositions(2, caps)
+    expected = []
+    for a, b, c in itertools.product(range(2), range(3), range(2)):
+        if a + b + c == 2:
+            v = [0] * 3000
+            v[5], v[1700], v[2999] = a, b, c
+            expected.append(tuple(v))
+    assert comps == expected
+    assert bounded_compositions(2, [0] * 3000) == []
+    assert bounded_compositions(0, [1] * 3000) == [(0,) * 3000]
+    assert bounded_compositions(3000, [1] * 3000) == [(1,) * 3000]
 
 
 def test_dp_comult_counts_match_multinomial_of_supports():

@@ -18,6 +18,7 @@ from conftest import (
 )
 import weylhom.weyl as weyl
 from weylhom.gfp import Echelon, InconsistentSystemError
+from weylhom.homspace import relation_matrix
 from weylhom.polyalg import mono
 from weylhom.shapes import all_partitions, composition
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
@@ -436,6 +437,38 @@ def test_ones_step_terms_are_canonical(monkeypatch, p):
                 if enumerate_standard(mu, lam):
                     reference_relation_matrix(lam, mu, p)
     assert seen
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_peel_tableaux_are_canonical(monkeypatch, p):
+    # the peel builds the first-row-deleted tableau and every reattached one
+    # without validation; check both on the peels of every relation matrix
+    # of degree <= 6 (each bar is straightened in the context of mu[1:])
+    peel = WeylContext._peel
+    straighten_tableau = WeylContext.straighten_tableau
+    peels = 0
+
+    def checked_peel(self, tab):
+        nonlocal peels
+        expansion = peel(self, tab)
+        for term in expansion:
+            assert_canonical(term)
+        peels += 1
+        return expansion
+
+    def checked_straighten(self, tab):
+        assert_canonical(tab)
+        return straighten_tableau(self, tab)
+
+    monkeypatch.setattr(WeylContext, "_peel", checked_peel)
+    monkeypatch.setattr(WeylContext, "straighten_tableau", checked_straighten)
+    for r in range(2, 7):
+        shapes = all_partitions(r)
+        for lam in shapes:
+            for mu in shapes:
+                if enumerate_standard(mu, lam):
+                    relation_matrix(lam, mu, p)
+    assert peels
 
 
 def test_stabilization_chain_on_dim_two_family():
