@@ -230,22 +230,15 @@ class Echelon:
         """Reduced basis of the right kernel, one vector per free column, ascending."""
         p, n = self.p, self.ncols
         pivot_rows = self.pivot_rows
-        # free column -> [(lead, entry)] over the reduced pivot rows holding it
-        held: dict[int, list[tuple[int, int]]] = {}
+        basis = {free: [0] * n for free in range(n) if free not in pivot_rows}
+        for free, v in basis.items():
+            v[free] = 1
+        # a reduced row holds no pivot column but its lead: the rest are free
         for lead, row in pivot_rows.items():
             for j, c in row.items():
                 if j != lead:
-                    held.setdefault(j, []).append((lead, c))
-        basis = []
-        for free in range(n):
-            if free in pivot_rows:
-                continue
-            v = [0] * n
-            v[free] = 1
-            for lead, c in held.get(free, ()):
-                v[lead] = -c % p
-            basis.append(v)
-        return basis
+                    basis[j][lead] = -c % p
+        return list(basis.values())
 
     def solve(self, rhs: dict[int, int]) -> list[int]:
         """The x with M x = rhs and 0 in every free column of M.
