@@ -174,8 +174,9 @@ def _enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
             (mu[0] - m,) + mu[1:], (alpha[0] - m,) + alpha[1:]
         )
         return tuple(t.plus(m) for t in reduced)
-    # the memo keys, by entry: forward from the empty filling, the strips of
-    # entry e from each `filled` the strips of the entries below reach
+    # forward from the empty filling: layers[e] maps each filling that the
+    # strips of the entries below e reach to the strips of entry e on it,
+    # each with the filling it leads to; no frame per entry
     layers: list[dict[tuple[int, ...], list]] = [{(0,) * len(mu): []}]
     for e in range(len(alpha)):
         step: dict[tuple[int, ...], list] = {}
