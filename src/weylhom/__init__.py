@@ -23,12 +23,7 @@ from .polyalg import ExpansionLimitError, dprime, mono
 from .shapes import FirstRowTooLargeError, all_partitions, composition, parse_partition, partition, stabilize
 from .specht import oracle_compare, specht_hom_dim, specht_rep
 from .tableaux import Tableau, enumerate_standard, from_row_entries
-from .weyl import (
-    WeylCoords,
-    relation_generators,
-    straighten,
-    two_row_straighten,
-)
+from .weyl import WeylCoords, straighten, two_row_straighten
 
 __version__ = "0.1.0"
 

@@ -25,7 +25,7 @@ def _env_int(name: str, default: int, minimum: int | None = None) -> int:
 
 def expansion_limit() -> int:
     """Term budget for a single exterior-realization expansion (at least 1),
-    counted over the full dealing (`polyalg.tensor_expansion_count`)."""
+    counted over the partial dealings `polyalg.dprime` steps through."""
     return _env_int("WEYLHOM_EXPANSION_LIMIT", 1_000_000, minimum=1)
 
 

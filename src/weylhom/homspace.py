@@ -23,7 +23,7 @@ from .gfp import MatrixGFp, add_scaled, binom_mod, check_prime
 from .polyalg import bounded_compositions
 from .shapes import partition, stabilize
 from .tableaux import Tableau, enumerate_standard
-from .weyl import get_context, relation_generators
+from .weyl import get_context
 
 
 @dataclass(frozen=True)
@@ -50,24 +50,23 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     order of (s_r); those whose coefficient vanishes mod p are dropped.
     """
     check_prime(p)
-    counts = tab.counts
-    width = len(counts[0]) if counts else 0
+    width = tab.width
     if not 1 <= i < width:
         raise ValueError(f"generator index {i} outside 1..{width - 1}")
-    caps = [row[i] for row in counts]
+    caps = [row[i] for row in tab]
     room = sum(caps)
     if not 0 <= t <= room:
         raise ValueError(f"generator x_({i},{t}) needs 0 <= t <= {room}")
     # moving every entry of the last column empties it; each term drops it
     trim = width - 1 if i == width - 1 and t == room else None
     # rows without an i+1 are the same in every term
-    rows = [row[:trim] for row in counts]
+    rows = [row[:trim] for row in tab]
     slots = [r for r, c in enumerate(caps) if c]
     terms: list[tuple[int, Tableau]] = []
     for comp in bounded_compositions(t, caps):
         coeff = 1
         for r in slots:
-            row = counts[r]
+            row = tab[r]
             s = comp[r]
             if s:
                 coeff = coeff * binom_mod(row[i - 1] + s, s, p) % p
@@ -80,38 +79,28 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     return terms
 
 
-def _is_power(t: int, p: int) -> bool:
-    """Whether t = p^j for some j >= 0."""
-    while t % p == 0:
-        t //= p
-    return t == 1
-
-
 def relation_matrix(lam, mu, p: int) -> MatrixGFp:
     """Rows: the nonzero standard-basis coordinates of phi_T(x_{i,t}) for
-    the generators with t a power of p, stacked in (i, t) order and, within
-    a generator, in order of the target standard tableau; columns: T over
-    Std_lambda(mu).  The kernel is the space of induced Hom maps.
-
-    The other generators cut nothing out: E_i^(a) E_i^(b) = C(a+b, a)
-    E_i^(a+b) in the hyperalgebra, so by Lucas E_i^(t) is a unit times the
-    product of E_i^(p^j) over the base-p digits of t, and a vector killed by
-    every E_i^(p^j) is killed by E_i^(t)."""
+    i = 1..len(lam)-1 and t = 1, p, p^2, ... <= lam_{i+1}, stacked in (i, t)
+    order and, within a generator, in order of the target standard tableau;
+    columns: T over Std_lambda(mu).  The kernel is the space of induced Hom
+    maps; the other generators cut nothing out (see the module docstring)."""
     lam = partition(lam)
     mu = partition(mu)
     check_prime(p)
     std = enumerate_standard(mu, lam)
     ctx = get_context(mu, p)
     rows: list[dict[int, int]] = []
-    for gen in relation_generators(lam):
-        if not _is_power(gen.t, p):
-            continue
-        block: dict[Tableau, dict[int, int]] = {}
-        for col, tab in enumerate(std):
-            coords = ctx.straighten_terms(phi_eval_terms(tab, gen.i, gen.t, p))
-            for s, v in coords.items():
-                block.setdefault(s, {})[col] = v
-        rows.extend(block[s] for s in sorted(block))
+    for i in range(1, len(lam)):
+        t = 1
+        while t <= lam[i]:
+            block: dict[Tableau, dict[int, int]] = {}
+            for col, tab in enumerate(std):
+                coords = ctx.straighten_terms(phi_eval_terms(tab, i, t, p))
+                for s, v in coords.items():
+                    block.setdefault(s, {})[col] = v
+            rows.extend(block[s] for s in sorted(block))
+            t *= p
     return MatrixGFp(len(rows), len(std), p, rows)
 
 

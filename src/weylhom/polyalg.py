@@ -134,19 +134,6 @@ def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
     return results
 
 
-def tensor_expansion_count(shape, factors) -> int:
-    """Number of raw terms the exterior expansion of the tensor would touch
-    when dealt over every column order: the product over rows of
-    multinomial(mu_i; entry counts)."""
-    total = 1
-    for mu_i, factor in zip(shape, factors):
-        row = math.factorial(mu_i)
-        for _, c in factor:
-            row //= math.factorial(c)
-        total *= row
-    return total
-
-
 def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial, int]:
     """Exterior realization of a shape-`shape` tensor of monomials, kept on
     the representatives of its column symmetry.
@@ -168,8 +155,11 @@ def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial
     block, or is complete and sorts below that neighbour.  The columns only
     row 1 covers form the last block; its one representative is row 1's
     leftovers in ascending order, so they are not dealt.  The result is a
-    sparse vector mod p.  `limit` bounds `tensor_expansion_count`, the size
-    of the full dealing.
+    sparse vector mod p.  `limit` bounds the partial dealings the loop
+    steps through: one for each way to deal the first j columns, for every
+    j from 0 to the number of dealt columns, so each complete term counts
+    too, before it cancels.  ExpansionLimitError is raised once it is
+    passed.
     """
     shape = tuple(shape)
     factors = tuple(mono(f) for f in factors)
@@ -180,10 +170,7 @@ def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial
             raise ValueError(f"factor {f} does not have degree {mu_i}")
     if any(a < b for a, b in zip(shape, shape[1:])):
         raise ValueError(f"shape {shape} is not weakly decreasing")
-    if limit is not None and tensor_expansion_count(shape, factors) > limit:
-        raise ExpansionLimitError(
-            f"expansion of shape {shape} tensor exceeds {limit} terms"
-        )
+    budget = math.inf if limit is None else limit
     acc: dict[ExtMonomial, int] = {}
     left = [dict(f) for f in factors]
     row1 = left[0] if left else {}
@@ -225,6 +212,9 @@ def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial
         if sign is None:
             stack.pop()
             continue
+        budget -= 1
+        if budget < 0:
+            raise ExpansionLimitError(f"expansion of shape {shape} tensor exceeds {limit} terms")
         j = len(stack) - 1
         if j < len(heights):
             prev = columns[j - 1] if j and heights[j - 1] == heights[j] else ()

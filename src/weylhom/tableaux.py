@@ -1,7 +1,7 @@
 """Tableaux of partition shape as entry-count matrices.
 
-A filling is stored row by row as multiplicities: counts[i][j] is the number
-of entries j+1 in row i+1.  Rows are therefore weakly increasing by
+A tableau is the tuple of its count rows: tab[i][j] is the number of
+entries j+1 in row i+1.  Rows are therefore weakly increasing by
 construction, which matches the exponential notation 1^(3)2^(2)4 used
 throughout, and makes standardness a prefix-count comparison between
 consecutive rows rather than a cell-by-cell scan.
@@ -32,10 +32,15 @@ def _row_fits(row, prev) -> bool:
     return True
 
 
-class Tableau:
-    __slots__ = ("counts", "_hash")
+class Tableau(tuple):
+    """A filling as the tuple of its count rows, in canonical form: rows of
+    one width with a nonzero last column, no empty row, and row sums that
+    form a partition.  Equality, hashing and order are the tuple's, so a
+    tableau equals the plain tuple of its rows."""
 
-    def __init__(self, counts):
+    __slots__ = ()
+
+    def __new__(cls, counts):
         rows = [tuple(int(c) for c in row) for row in counts]
         width = 0
         for row in rows:
@@ -51,51 +56,39 @@ class Tableau:
         sums = [sum(row) for row in rows]
         if any(sums[i] < sums[i + 1] for i in range(len(sums) - 1)):
             raise ValueError(f"row sums {sums} are not a partition shape")
-        self.counts = tuple(rows)
-        self._hash = hash(self.counts)
+        return tuple.__new__(cls, rows)
 
     @classmethod
     def _of(cls, counts: tuple[tuple[int, ...], ...]) -> "Tableau":
         """Wrap counts already in canonical form, skipping validation: a tuple
         of int tuples of one width, last column nonzero, no empty row, and row
         sums forming a partition.  For internal sites that build such counts."""
-        tab = object.__new__(cls)
-        tab.counts = counts
-        tab._hash = hash(counts)
-        return tab
+        return tuple.__new__(cls, counts)
+
+    # the rows as a plain tuple; internal sites index the tableau itself
+    counts = property(tuple)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(map(sum, self.counts))
+        return tuple(map(sum, self))
 
     @property
     def width(self) -> int:
-        return len(self.counts[0]) if self.counts else 0
+        return len(self[0]) if self else 0
 
     @property
     def weight(self) -> tuple[int, ...]:
-        return composition(
-            sum(row[j] for row in self.counts) for j in range(self.width)
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Tableau) and self.counts == other.counts
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self.counts < other.counts
+        return composition(map(sum, zip(*self)))
 
     def __repr__(self):
         return f"Tableau({self.render()!r})"
 
     def render(self) -> str:
         """Exponential notation, rows separated by ' | ': "1^(3)2^(2)4 | 2^(2)34 | 25"."""
-        if not self.counts:
+        if not self:
             return "(empty)"
         out = []
-        for row in self.counts:
+        for row in self:
             pieces = []
             for j, c in enumerate(row):
                 if c == 1:
@@ -107,8 +100,7 @@ class Tableau:
 
     def is_standard(self) -> bool:
         """Column-strict check: each row's entry-prefix counts fit strictly above."""
-        rows = self.counts
-        return all(_row_fits(row, prev) for prev, row in zip(rows, rows[1:]))
+        return all(_row_fits(row, prev) for prev, row in zip(self, self[1:]))
 
     def plus(self, m: int) -> "Tableau":
         """Insert m extra 1s at the front of the top row."""
@@ -116,10 +108,9 @@ class Tableau:
             raise ValueError("m must be nonnegative")
         if m == 0:
             return self
-        if not self.counts:
+        if not self:
             return Tableau._of(((m,),))
-        first = (self.counts[0][0] + m,) + self.counts[0][1:]
-        return Tableau._of((first,) + self.counts[1:])
+        return Tableau._of(((self[0][0] + m,) + self[0][1:],) + self[1:])
 
 
 def from_row_entries(rows) -> Tableau:

@@ -51,27 +51,6 @@ class StraighteningLimitError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class RelationGenerator:
-    """Cyclic generator x_{i,t} of the (i, t) relation summand of Delta(lam):
-    the shape-lam tensor whose factor i+1 is i^(t)(i+1)^(lam_{i+1}-t) and
-    whose other factors j are j^(lam_j)."""
-
-    lam: tuple[int, ...]
-    i: int
-    t: int
-
-
-def relation_generators(lam) -> list[RelationGenerator]:
-    """All x_{i,t} for i = 1..len(lam)-1 and t = 1..lam_{i+1}, in (i, t) order."""
-    lam = partition(lam)
-    return [
-        RelationGenerator(lam, i, t)
-        for i in range(1, len(lam))
-        for t in range(1, lam[i] + 1)
-    ]
-
-
 @dataclass
 class WeylCoords:
     """Coordinates of an element of the weight-alpha subspace of Delta(shape),
@@ -129,13 +108,12 @@ class WeylContext:
     def _compute(self, tab: Tableau) -> dict[Tableau, int]:
         if tab.is_standard():
             return {tab: 1}
-        counts = tab.counts
-        if len(counts) >= 2 and counts[1][0] > 0:
+        if len(tab) >= 2 and tab[1][0] > 0:
             expanded = self._ones_step(tab)
             return self.straighten_terms(expanded)
-        ones_below = any(row[0] for row in counts[1:])
+        ones_below = any(row[0] for row in tab[1:])
         mu2 = self.mu[1] if len(self.mu) > 1 else 0
-        if not ones_below and counts and counts[0][0] >= mu2:
+        if not ones_below and tab[0][0] >= mu2:
             return self._peel(tab)
         return self._solve(tab)
 
@@ -151,7 +129,7 @@ class WeylContext:
         s^(b_s + i_s).  Rows below ride along unchanged.
         """
         p = self.p
-        a, b = tab.counts[0], tab.counts[1]
+        a, b = tab[0], tab[1]
         b1 = b[0]
         if a[0] + b1 > self.mu[0]:
             return []
@@ -169,7 +147,7 @@ class WeylContext:
             new_a = (a[0] + b1,) + tuple(a[j] - comp[j - 1] for j in range(1, width))
             new_b = (0,) + tuple(b[j] + comp[j - 1] for j in range(1, width))
             # row sums and column totals are unchanged, so the counts stay canonical
-            terms.append((coeff, Tableau._of((new_a, new_b) + tab.counts[2:])))
+            terms.append((coeff, Tableau._of((new_a, new_b) + tab[2:])))
         return terms
 
     def _peel(self, tab: Tableau) -> dict[Tableau, int]:
@@ -189,15 +167,15 @@ class WeylContext:
         sub = self._sub
         if sub is None:
             sub = self._sub = get_context(self.mu[1:], self.p)
-        rows = tab.counts[1:]
+        rows = tab[1:]
         width = tab.width - 1
         while not any(row[width] for row in rows):
             width -= 1
         bar = Tableau._of(tuple(row[1 : width + 1] for row in rows))
-        row1 = (tab.counts[0],)
+        row1 = (tab[0],)
         pad = (0,) * (tab.width - 1 - width)
         return {
-            Tableau._of(row1 + tuple((0,) + r + pad for r in sbar.counts)): c
+            Tableau._of(row1 + tuple((0,) + r + pad for r in sbar)): c
             for sbar, c in sub.straighten_tableau(bar).items()
         }
 
@@ -276,15 +254,15 @@ def two_row_straighten(tab: Tableau, p: int) -> WeylCoords:
 def realize(mu, tab: Tableau, p: int) -> dict:
     """Exterior realization of the class [tab] of shape mu, on the
     representatives of its column symmetry, within the term budget
-    WEYLHOM_EXPANSION_LIMIT on the full dealing (ExpansionLimitError beyond
-    it)."""
-    factors = [mono({j + 1: c for j, c in enumerate(row)}) for row in tab.counts]
+    WEYLHOM_EXPANSION_LIMIT on the partial dealings it steps through
+    (ExpansionLimitError beyond it)."""
+    factors = [mono({j + 1: c for j, c in enumerate(row)}) for row in tab]
     return dprime(mu, factors, p, limit=config.expansion_limit())
 
 
 def column_word(tab: Tableau) -> tuple[tuple[int, ...], ...]:
     """The columns of tab, top to bottom, as an exterior monomial."""
-    rows = [[e for e, c in enumerate(row, start=1) for _ in range(c)] for row in tab.counts]
+    rows = [[e for e, c in enumerate(row, start=1) for _ in range(c)] for row in tab]
     return tuple(
         tuple(row[j] for row in rows if len(row) > j) for j in range(len(rows[0]) if rows else 0)
     )

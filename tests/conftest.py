@@ -33,17 +33,22 @@ back-substitution are checked against.
 The reference implementations the library itself never runs live here too:
 dense and entrywise matrix construction (`from_dense`, `set_entry`), the
 divided-power product `dp_mult`, on partitions `transpose`, `dominates`
-and the Weyl dimension formula `weyl_dimension`, and the weight of a
-relation generator (`generator_weight`).
+and the Weyl dimension formula `weyl_dimension`, the relation generators
+x_{i,t} for every t (`relation_generators`, with `is_power` picking the
+t = p^j that `relation_matrix` walks) and their weights
+(`generator_weight`), and the size of the full dealing over every column
+order (`tensor_expansion_count`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import subprocess
 import sys
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,12 +64,11 @@ from weylhom.polyalg import (
     dp_comult,
     mono,
     mono_degree,
-    tensor_expansion_count,
 )
 from weylhom.shapes import composition, partition
 from weylhom.specht import specht_rep, standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
-from weylhom.weyl import get_context, realize, relation_generators
+from weylhom.weyl import get_context, realize
 
 
 def run_python(args, str_digits=None) -> subprocess.CompletedProcess:
@@ -253,6 +257,19 @@ def tableau_monomials(tab: Tableau):
     return [mono({j + 1: c for j, c in enumerate(row)}) for row in tab.counts]
 
 
+def tensor_expansion_count(shape, factors) -> int:
+    """Number of raw terms the exterior expansion of the tensor touches when
+    dealt over every column order: the product over rows of
+    multinomial(mu_i; entry counts)."""
+    total = 1
+    for mu_i, factor in zip(shape, factors):
+        row = math.factorial(mu_i)
+        for _, c in factor:
+            row //= math.factorial(c)
+        total *= row
+    return total
+
+
 def reference_dprime(
     shape, factors, p: int, limit: int | None = None
 ) -> dict[ExtMonomial, int]:
@@ -392,6 +409,34 @@ def generator_tensor(gen) -> tuple:
     )
 
 
+@dataclass(frozen=True)
+class RelationGenerator:
+    """Cyclic generator x_{i,t} of the (i, t) relation summand of Delta(lam):
+    the shape-lam tensor whose factor i+1 is i^(t)(i+1)^(lam_{i+1}-t) and
+    whose other factors j are j^(lam_j)."""
+
+    lam: tuple[int, ...]
+    i: int
+    t: int
+
+
+def relation_generators(lam) -> list[RelationGenerator]:
+    """All x_{i,t} for i = 1..len(lam)-1 and t = 1..lam_{i+1}, in (i, t) order."""
+    lam = partition(lam)
+    return [
+        RelationGenerator(lam, i, t)
+        for i in range(1, len(lam))
+        for t in range(1, lam[i] + 1)
+    ]
+
+
+def is_power(t: int, p: int) -> bool:
+    """Whether t = p^j for some j >= 0."""
+    while t % p == 0:
+        t //= p
+    return t == 1
+
+
 def generator_weight(gen) -> tuple[int, ...]:
     """The weight of the relation generator x_{i,t}: lam with t moved from
     entry i+1 to entry i."""
@@ -402,7 +447,7 @@ def generator_weight(gen) -> tuple[int, ...]:
 def reference_relation_matrix(lam, mu, p: int, keep=lambda t: True) -> MatrixGFp:
     """The relation matrix over every generator x_{i,t} whose t passes keep
     (all of them by default), one row per target tableau an image reaches;
-    built from the public `relation_generators`, `phi_eval_terms` and
+    built from `relation_generators` and the public `phi_eval_terms` and
     `straighten_terms`, with no p-power rule."""
     std = enumerate_standard(mu, lam)
     ctx = get_context(mu, p)
@@ -585,10 +630,12 @@ def reference_specht_hom_dim(nu, nu_prime, p: int) -> int:
 
 def assert_canonical(tab: Tableau) -> None:
     """tab is what the validating constructor makes of its own counts: the
-    same counts, hash and equality, with rows stored as tuples of ints."""
+    same counts, hash and equality, with rows stored as tuples of ints; and,
+    like every tableau, equal to and hashing like the tuple of its rows."""
     ref = Tableau(tab.counts)
     assert tab.counts == ref.counts, tab.counts
     assert hash(tab) == hash(ref) and tab == ref, tab.counts
+    assert type(tab) is Tableau and tab == tab.counts and hash(tab) == hash(tab.counts)
     assert type(tab.counts) is tuple, tab.counts
     assert all(
         type(row) is tuple and all(type(c) is int for c in row) for row in tab.counts

@@ -13,6 +13,7 @@ from conftest import (
     compositions_of,
     kostka_bruteforce,
     reference_straighten,
+    relation_generators,
     standard_image_matrix,
     weyl_dimension,
 )
@@ -20,7 +21,7 @@ from weylhom.gfp import Echelon, binom_mod
 from weylhom.homspace import hom_dim, phi_eval_terms, verify_stabilization
 from weylhom.shapes import all_partitions, parse_partition
 from weylhom.tableaux import Tableau, enumerate_standard
-from weylhom.weyl import get_context, relation_generators
+from weylhom.weyl import get_context
 import weylhom.weyl as weyl_module
 
 

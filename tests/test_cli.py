@@ -5,7 +5,7 @@ import pytest
 
 from conftest import run_python
 import weylhom.cli as cli
-from weylhom import config
+from weylhom import config, homspace
 from weylhom.homspace import StabilizationReport
 
 
@@ -160,14 +160,25 @@ def test_a_weight_of_1200_entries_is_computed(capsys):
     assert report["dim"] == 0 and report["std_count"] == 1
 
 
+def test_budget_counts_what_dprime_deals(capsys, monkeypatch):
+    # dealt over every column order, a class of 1^12 in shape (10, 2) has
+    # 7,257,600 terms; dprime deals about a hundred, inside any budget here
+    argv = ["dim", "-p", "3", "--lambda", "1^12", "--mu", "10,2", "--format", "json"]
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and report["dim"] == 0
+    monkeypatch.setenv("WEYLHOM_EXPANSION_LIMIT", "1000")
+    assert run_json(capsys, *argv)[1]["dim"] == 0
+
+
 def test_verify_refuses_a_first_row_too_long_to_print(capsys, monkeypatch):
     # 3^10000 has 4772 digits, past Python's default int-to-str limit of 4300,
-    # so the report could not print the stabilized rows: refused before any work
+    # so the report could not print the stabilized rows: verify_stabilization
+    # refuses them before any Hom space is computed
     def never(*args):
-        raise AssertionError("verify_stabilization ran")
+        raise AssertionError("hom_dim ran")
 
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
-    monkeypatch.setattr(cli, "verify_stabilization", never)
+    monkeypatch.setattr(homspace, "hom_dim", never)
     code, out, err = run(capsys, "verify", "-p", "3", "--lambda", "2,1", "--mu", "3", "-d", "10000")
     assert code == 1 and out == ""
     assert err == "error: k*p^d = 1*3^10000 is too large: a first row would exceed 4300 digits\n"

@@ -7,8 +7,10 @@ from conftest import (
     assert_canonical,
     generator_tensor,
     generator_weight,
+    is_power,
     reference_phi_terms,
     reference_relation_matrix,
+    relation_generators,
     run_python,
 )
 from weylhom.gfp import binom_mod
@@ -24,7 +26,7 @@ from weylhom.homspace import (
 from weylhom.polyalg import mono
 from weylhom.shapes import all_partitions
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
-from weylhom.weyl import get_context, relation_generators
+from weylhom.weyl import get_context
 
 
 def test_phi_eval_worked_two_row_example():
@@ -198,12 +200,15 @@ def _kernel_pairs():
 
 
 def test_p_power_generators_keep_the_kernel_of_all_generators():
-    # relation_matrix keeps only t = p^j; the matrix over every t must have
-    # the same reduced kernel basis
+    # relation_matrix keeps only t = p^j, with the rows of the generators
+    # x_{i,p^j}; the matrix over every t must have the same reduced kernel basis
     checked = 0
     for lam, mu, p in _kernel_pairs():
         if not enumerate_standard(mu, lam):
             continue
+        cut = reference_relation_matrix(lam, mu, p, keep=lambda t: is_power(t, p))
+        rows = sorted(sorted(row.items()) for row in relation_matrix(lam, mu, p).rows)
+        assert rows == sorted(sorted(row.items()) for row in cut.rows), (lam, mu, p)
         want = [list(h.coeffs) for h in hom_dim(lam, mu, p)[1]]
         assert reference_relation_matrix(lam, mu, p).kernel_basis() == want, (lam, mu, p)
         checked += 1

@@ -11,6 +11,7 @@ from conftest import (
     dp_mult,
     is_representative,
     orbit_expansion,
+    tensor_expansion_count,
 )
 from weylhom.polyalg import (
     ExpansionLimitError,
@@ -19,7 +20,6 @@ from weylhom.polyalg import (
     dprime,
     mono,
     mono_degree,
-    tensor_expansion_count,
 )
 
 
@@ -244,8 +244,12 @@ def test_dprime_deterministic_and_reduces_mod_p():
 
 
 def test_expansion_count_and_limit():
+    # the budget counts the partial dealings dprime steps through, not the
+    # full dealing over every column order: here the empty dealing, four
+    # ways to deal column 1 and four to deal both, onto three monomials
     factors = [mono({1: 1, 2: 1, 3: 1}), mono({1: 1, 2: 1})]
     assert tensor_expansion_count((3, 2), factors) == 12
     with pytest.raises(ExpansionLimitError):
-        dprime((3, 2), factors, 3, limit=11)
-    assert dprime((3, 2), factors, 3, limit=12) is not None
+        dprime((3, 2), factors, 3, limit=8)
+    assert dprime((3, 2), factors, 3, limit=9) == dprime((3, 2), factors, 3)
+    assert len(dprime((3, 2), factors, 3)) == 3

@@ -34,6 +34,16 @@ def test_counts_canonicalization():
     assert t.shape == (3, 1)
     assert t.weight == (1, 3)
     assert t.width == 2
+    # a tableau is the tuple of its count rows: it equals and hashes like
+    # them, and `counts` is that tuple with the Tableau type dropped
+    assert t == ((1, 2), (0, 1)) and hash(t) == hash(((1, 2), (0, 1)))
+    assert type(t.counts) is tuple and type(Tableau._of(t.counts)) is Tableau
+    assert Tableau._of(((1, 2), (0, 1))) == t
+    # the empty tableau is the empty tuple, so it is falsy
+    empty = Tableau([(0, 0), ()])
+    assert empty == Tableau(()) == () and hash(empty) == hash(()) and not empty
+    assert (empty.shape, empty.weight, empty.width, empty.render()) == ((), (), 0, "(empty)")
+    assert empty.is_standard() and empty.plus(2).counts == ((2,),)
     with pytest.raises(ValueError):
         Tableau([(1,), (1, 1)])  # row sums must decrease
     with pytest.raises(ValueError):
@@ -105,6 +115,8 @@ def test_enumerate_matches_ordered_bruteforce():
                     expected = standard_bruteforce(mu_m, alpha_m)
                     got = enumerate_standard(mu_m, alpha_m)
                     assert list(got) == expected, (mu_m, alpha_m)
+                    # tableaux sort as their count rows do
+                    assert [t.counts for t in got] == sorted(t.counts for t in expected)
                     # built without validation, so check each against it
                     for t in got:
                         assert_canonical(t)
@@ -128,6 +140,7 @@ def test_enumerate_is_lexicographic_and_deterministic():
     std = enumerate_standard((3, 2), (2, 2, 1))
     flat = [sum(t.counts, ()) for t in std]
     assert flat == sorted(flat)
+    assert list(std) == sorted(std) == sorted(std, key=lambda t: t.counts)
     assert std == enumerate_standard((3, 2), (2, 2, 1))
 
 

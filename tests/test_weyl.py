@@ -13,6 +13,7 @@ from conftest import (
     reference_dprime,
     reference_relation_matrix,
     reference_straighten,
+    relation_generators,
     standard_image_matrix,
     tableau_monomials,
 )
@@ -29,7 +30,6 @@ from weylhom.weyl import (
     column_word,
     get_context,
     realize,
-    relation_generators,
     straighten,
     two_row_straighten,
 )
