@@ -17,10 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from . import config
 from .gfp import NonPrimeModulusError, check_prime
 from .homspace import hom_dim, verify_stabilization
+from .polyalg import ExpansionLimitError
 from .shapes import FirstRowTooLargeError, all_partitions, format_partition, parse_partition, stabilize
 from .specht import check_dictionary_prime, specht_hom_dim
 from .tableaux import enumerate_standard
-from .weyl import StraighteningLimitError
 
 EXIT_OK = 0
 EXIT_THEOREM_VIOLATED = 2
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         config.scan_degree_cap()
         config.specht_degree_bound()
         return args.func(args)
-    except (CliError, config.ConfigError, FirstRowTooLargeError, StraighteningLimitError) as exc:
+    except (CliError, config.ConfigError, ExpansionLimitError, FirstRowTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -1,12 +1,13 @@
 """Exact arithmetic over GF(p): binomials via Lucas digits, sparse matrices, kernels.
 
 Everything is integer arithmetic on residues in [0, p).  No floats, no
-probabilistic shortcuts: ranks and kernels are exact.  Elimination computes
-the reduced echelon form, which depends only on the row space and not on the
-order rows are absorbed in, so bases are reproducible across runs.  Its
-back-substitution touches each pivot row only at the pivot columns that row
-holds, so it costs in proportion to the nonzeros, not to rank^2; a linear
-system is solved by reading the kernel of its augmented matrix.  A basis
+probabilistic shortcuts: ranks and kernels are exact.  An `Echelon` computes
+the reduced echelon form once, when it is built; the form depends only on
+the row space and not on the order rows are absorbed in, so bases are
+reproducible across runs.  Its back-substitution touches each pivot row only
+at the pivot columns that row holds, so it costs in proportion to the
+nonzeros, not to rank^2; a linear system is solved by reading the kernel of
+its augmented matrix.  A basis
 that is already unitriangular (each element has its own lowest key, with
 coefficient 1) needs no elimination at all: `reduce_lowest` solves against
 it term by term.
@@ -63,8 +64,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def check_prime(p: int) -> int:
+    """p itself if it is an int known to be prime; the cache is typed, so
+    3.0 is refused rather than answered from the entry for 3."""
+    if not isinstance(p, int):
+        raise NonPrimeModulusError(f"modulus {p!r} is not an integer")
     if not is_prime(p):
         raise NonPrimeModulusError(f"modulus {p} is not prime")
     return p
@@ -175,56 +180,37 @@ class Echelon:
     Each distinct nonzero row is absorbed once, shortest first (ties by
     input index), and claims the lowest column not yet used as a pivot; empty
     and repeated rows add nothing to the row space, and the reduced form does
-    not depend on the absorption order.  The rank is the number of pivots,
-    known once every row is absorbed; back-substitution waits until
-    `pivot_rows` or `kernel_basis` first needs the reduced form.  It costs,
-    per pivot row, the row's length plus the lengths of the pivot rows whose
-    columns it holds; `kernel_basis` then reads each reduced row once.
+    not depend on the absorption order.  Back-substitution then clears every
+    pivot column above its pivot, from the highest lead down.  A finished row
+    holds no pivot column but its own lead, so subtracting it from a lower
+    row clears one pivot column and brings in no other: each row is reduced
+    only at the pivot columns it held after elimination, and the cost follows
+    the nonzeros of the rows involved, not rank^2.  `kernel_basis` then reads
+    each reduced row once.
     """
 
     def __init__(self, matrix: MatrixGFp):
         self.matrix = matrix
-        self.p = matrix.p
+        p = self.p = matrix.p
         self.ncols = matrix.ncols
-        # pivot col -> row dict (reduced once _reduced)
-        self._pivots: dict[int, dict[int, int]] = {}
-        self._reduced = False
+        # pivot col -> reduced row
+        pivots: dict[int, dict[int, int]] = {}
+        self.pivot_rows = pivots
         rows = matrix.rows
         first = {}
         for idx, row in enumerate(rows):
             if row:
                 first.setdefault(frozenset(row.items()), idx)
         for idx in sorted(first.values(), key=lambda i: len(rows[i])):
-            absorb_row(self._pivots, dict(rows[idx]), self.p)
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    @property
-    def pivot_rows(self) -> dict[int, dict[int, int]]:
-        """pivot col -> reduced row, back-substituted on first read."""
-        self._back_substitute()
-        return self._pivots
-
-    def _back_substitute(self) -> None:
-        """Clear every pivot column above its pivot; once.
-
-        Rows are finished from the highest lead down.  A finished row holds
-        no pivot column but its own lead, so subtracting it from a lower row
-        clears one pivot column and brings in no other: each row is reduced
-        only at the pivot columns it held after elimination, and the cost
-        follows the nonzeros of the rows involved, not rank^2.
-        """
-        if self._reduced:
-            return
-        self._reduced = True
-        p = self.p
-        pivots = self._pivots
+            absorb_row(pivots, dict(rows[idx]), p)
         for lead in sorted(pivots, reverse=True):
             row = pivots[lead]
             for col in [j for j in row if j != lead and j in pivots]:
                 add_scaled(row, -row[col], pivots[col], p)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
 
     def kernel_basis(self) -> list[list[int]]:
         """Reduced basis of the right kernel, one vector per free column, ascending."""

@@ -127,25 +127,7 @@ def hom_dim(lam, mu, p: int) -> tuple[int, list[HomElement]]:
     return dim, [HomElement(lam, mu, p, v) for v in vectors]
 
 
-def clear_caches() -> None:
-    _hom_cache.clear()
-
-
-def stabilize_hom(h: HomElement, k: int, d: int) -> HomElement:
-    """Transport a Hom candidate along the tableau bijection T -> T^+ obtained
-    by prepending k*p^d ones to the top row.  Needs mu_2 <= lambda_1 so that
-    the bijection onto Std_{lambda^+}(mu^+) is available.  It keeps the
-    lexicographic order of both enumerations, so the coefficients carry over
-    unchanged; FirstRowTooLargeError is raised where `stabilize` raises it."""
-    lam, mu = h.lam, h.mu
-    mu2 = mu[1] if len(mu) > 1 else 0
-    lam1 = lam[0] if lam else 0
-    if mu2 > lam1:
-        raise ValueError(f"transport needs mu_2 <= lambda_1, got {mu2} > {lam1}")
-    return HomElement(stabilize(lam, k, d, h.p), stabilize(mu, k, d, h.p), h.p, h.coeffs)
-
-
-def _in_reduced_span(v, kernel, p: int) -> bool:
+def _in_kernel_span(v, kernel, p: int) -> bool:
     """Whether v lies in the span of a reduced kernel basis (Echelon.kernel_basis).
 
     Each basis vector's last nonzero entry is a 1 in its own free column, where
@@ -233,9 +215,9 @@ def verify_stabilization(lam, mu, p: int, k: int, d: int) -> StabilizationReport
     dim_plus, basis_plus = hom_dim(lam_plus, mu_plus, p)
     transport_in_kernel: bool | None = None
     if hyp_overlap:
-        # stabilize_hom keeps the coefficients, so each h is tested as it is
+        # T -> T^+ keeps the order of Std, so each h is its own transport
         kernel_plus = [h.coeffs for h in basis_plus]
-        transport_in_kernel = all(_in_reduced_span(h.coeffs, kernel_plus, p) for h in basis)
+        transport_in_kernel = all(_in_kernel_span(h.coeffs, kernel_plus, p) for h in basis)
     correspondence = None
     if hyp_power and hyp_overlap:
         correspondence = (dim == dim_plus) and bool(transport_in_kernel)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from operator import index
 
 from .gfp import check_prime
 
@@ -15,7 +16,10 @@ def partition(parts) -> tuple[int, ...]:
     """Canonical partition: weakly decreasing positive parts, trailing zeros dropped."""
     out = []
     for v in parts:
-        v = int(v)
+        try:
+            v = index(v)
+        except TypeError:
+            raise ValueError(f"part {v!r} is not an integer") from None
         if v < 0:
             raise ValueError(f"negative part {v}")
         if out and v > out[-1]:
@@ -28,9 +32,15 @@ def partition(parts) -> tuple[int, ...]:
 
 def composition(parts) -> tuple[int, ...]:
     """Canonical composition: nonnegative entries, trailing zeros dropped."""
-    out = [int(v) for v in parts]
-    if any(v < 0 for v in out):
-        raise ValueError(f"negative entry in composition {tuple(parts)}")
+    out = []
+    for v in parts:
+        try:
+            v = index(v)
+        except TypeError:
+            raise ValueError(f"entry {v!r} is not an integer") from None
+        if v < 0:
+            raise ValueError(f"negative entry {v}")
+        out.append(v)
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -42,6 +52,10 @@ def stabilize(lam, k: int, d: int, p: int) -> tuple[int, ...]:
     Raises FirstRowTooLargeError, before raising p to d, on a first row longer
     than Python's int-to-str limit, or 4300 digits where that limit is 0."""
     check_prime(p)
+    try:
+        k, d = index(k), index(d)
+    except TypeError:
+        raise ValueError(f"k and d must be integers, got k={k!r}, d={d!r}") from None
     if k < 0 or d < 0:
         raise ValueError("k and d must be nonnegative")
     lam = partition(lam)

@@ -322,7 +322,3 @@ def oracle_compare(lam, mu, p: int) -> bool:
     weyl = hom_dim(lam, mu, p)[0]
     specht = specht_hom_dim(lam, mu, p)
     return weyl == specht
-
-
-def clear_caches() -> None:
-    specht_rep.cache_clear()

@@ -41,16 +41,9 @@ class Tableau(tuple):
     __slots__ = ()
 
     def __new__(cls, counts):
-        rows = [tuple(int(c) for c in row) for row in counts]
-        width = 0
-        for row in rows:
-            if any(c < 0 for c in row):
-                raise ValueError(f"negative multiplicity in {rows}")
-            w = len(row)
-            while w and row[w - 1] == 0:
-                w -= 1
-            width = max(width, w)
-        rows = [row[:width] + (0,) * (width - len(row)) for row in rows]
+        rows = [composition(row) for row in counts]
+        width = max(map(len, rows), default=0)
+        rows = [row + (0,) * (width - len(row)) for row in rows]
         while rows and sum(rows[-1]) == 0:
             rows.pop()
         sums = [sum(row) for row in rows]
@@ -195,7 +188,3 @@ def _enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
 
 enumerate_standard.cache_info = _enumerate_standard.cache_info
 enumerate_standard.cache_clear = _enumerate_standard.cache_clear
-
-
-def clear_caches() -> None:
-    enumerate_standard.cache_clear()

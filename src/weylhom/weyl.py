@@ -1,8 +1,9 @@
-"""Weyl module coordinates over the standard tableau basis.
+"""Straightening: Weyl module coordinates over the standard tableau basis.
 
 A module element is a GF(p)-combination of classes [T] of tableaux of shape
 mu; every class has a unique expansion over the standard tableaux of its
-weight.  Straightening computes that expansion.  Three mechanisms cooperate:
+weight.  Straightening computes that expansion, and `straighten` returns it
+as a new {standard tableau: coefficient} dict.  Three mechanisms cooperate:
 
 * the two-row ones-elimination closed form, applied to rows 1 and 2 (valid
   inside any shape because a relation supported on two adjacent rows stays a
@@ -21,7 +22,9 @@ realization of a standard tableau S has the column word of S as its lowest
 exterior monomial, with coefficient 1 (the leading-term half of the standard
 basis theorem, Akin-Buchsbaum-Weyman 1982), so the standard images form a
 unitriangular basis and `gfp.reduce_lowest` solves against it term by term.
-Each weight space checks every such unit lead on first use.
+Each weight space checks every such unit lead on first use.  A solve whose
+realizations would pass the WEYLHOM_EXPANSION_LIMIT budget raises
+ExpansionLimitError, naming the tableau, instead of truncating.
 
 Realizations are kept on the representatives of their column symmetry
 (`polyalg.dprime`): every realization is unchanged by swapping two columns
@@ -35,8 +38,6 @@ full vectors, and the unit-lead check means what it meant before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import config
 from .gfp import InconsistentSystemError, add_scaled, binom_mod, check_prime, reduce_lowest
 from .polyalg import ExpansionLimitError, bounded_compositions, dprime, mono
@@ -44,29 +45,11 @@ from .shapes import partition
 from .tableaux import Tableau, enumerate_standard
 
 
-class StraighteningLimitError(RuntimeError):
-    """The generic solve would need an exterior expansion beyond the term budget.
-
-    Raised instead of silently truncating; the budget is WEYLHOM_EXPANSION_LIMIT.
-    """
-
-
-@dataclass
-class WeylCoords:
-    """Coordinates of an element of the weight-alpha subspace of Delta(shape),
-    as a sparse combination of standard tableaux."""
-
-    shape: tuple[int, ...]
-    weight: tuple[int, ...]
-    p: int
-    coeffs: dict[Tableau, int] = field(default_factory=dict)
-
-
 class WeylContext:
-    """Straightening engine for one (shape, p), with memoized expansions."""
+    """Straightening engine for one (shape, p), with memoized expansions;
+    `get_context` checks p and builds each one once."""
 
     def __init__(self, mu, p: int):
-        check_prime(p)
         self.mu = partition(mu)
         self.p = p
         self.fallback_solves = 0
@@ -186,7 +169,7 @@ class WeylContext:
             basis = self._standard_basis(tab.weight)
             image = realize(self.mu, tab, self.p)
         except ExpansionLimitError as exc:
-            raise StraighteningLimitError(
+            raise ExpansionLimitError(
                 f"straightening {tab.render()} in shape {self.mu} needs an exterior "
                 f"expansion beyond the budget: {exc}"
             ) from exc
@@ -225,30 +208,16 @@ _contexts: dict[tuple[tuple[int, ...], int], WeylContext] = {}
 
 
 def get_context(mu, p: int) -> WeylContext:
-    key = (partition(mu), p)
+    key = (partition(mu), check_prime(p))  # 3.0 must not find the context of 3
     ctx = _contexts.get(key)
     if ctx is None:
         ctx = _contexts[key] = WeylContext(*key)
     return ctx
 
 
-def clear_caches() -> None:
-    _contexts.clear()
-
-
-def straighten(mu, tab: Tableau, coeff: int, p: int) -> WeylCoords:
-    """Standard-basis coordinates of coeff * [tab] in Delta(mu)."""
-    mu = partition(mu)
-    ctx = get_context(mu, p)
-    expansion = ctx.straighten_terms([(coeff, tab)])
-    return WeylCoords(mu, tab.weight, p, expansion)
-
-
-def two_row_straighten(tab: Tableau, p: int) -> WeylCoords:
-    """Straightening specialized to shapes with at most two rows."""
-    if len(tab.shape) > 2:
-        raise ValueError(f"two_row_straighten needs at most two rows, got shape {tab.shape}")
-    return straighten(tab.shape, tab, 1, p)
+def straighten(mu, tab: Tableau, coeff: int, p: int) -> dict[Tableau, int]:
+    """Standard-basis coordinates of coeff * [tab] in Delta(mu), as a new dict."""
+    return get_context(mu, p).straighten_terms([(coeff, tab)])
 
 
 def realize(mu, tab: Tableau, p: int) -> dict:

@@ -332,12 +332,10 @@ def test_echelon_ignores_row_order_repeats_and_empty_rows():
         )
         ech = Echelon(m)
         other = Echelon(shuffled)
-        # the rank is read off the unreduced pivots, before back-substitution
-        unreduced = (ech.rank, other.rank)
-        assert not ech._reduced and not other._reduced
+        # the rank is the pivot count, unchanged by reading the pivot rows
+        ranks = (ech.rank, other.rank)
         assert other.pivot_rows == ech.pivot_rows
-        assert ech._reduced and other._reduced
-        assert (ech.rank, other.rank) == unreduced
+        assert (ech.rank, other.rank) == ranks
         assert other.rank == ech.rank == len(ech.pivot_rows) == ncols - len(ech.kernel_basis())
         assert other.kernel_basis() == ech.kernel_basis()
         x = [rng.randrange(p) for _ in range(ncols)]

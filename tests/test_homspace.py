@@ -20,11 +20,10 @@ from weylhom.homspace import (
     hom_dim,
     phi_eval_terms,
     relation_matrix,
-    stabilize_hom,
     verify_stabilization,
 )
 from weylhom.polyalg import mono
-from weylhom.shapes import all_partitions
+from weylhom.shapes import all_partitions, stabilize
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
 from weylhom.weyl import get_context
 
@@ -285,18 +284,18 @@ def test_kernel_vectors_kill_every_generator():
 
 
 def test_stabilize_hom_transport():
+    # transport along T -> T^+ keeps the coefficients: h.coeffs over
+    # Std_{lambda^+}(mu^+) is the transported vector
     dim, basis = hom_dim((8, 3), (11,), 3)
     assert dim == 1
     h = basis[0]
-    moved = stabilize_hom(h, 1, 1)
-    assert moved.lam == (11, 3) and moved.mu == (14,)
-    assert moved.coeffs == h.coeffs  # unit vector on the shifted tableau
     # hypotheses fail here (p^d equals the min), and indeed the transported
     # vector no longer kills the relations
     m_plus = relation_matrix((11, 3), (14,), 3)
-    assert any(m_plus.mul_vec(list(moved.coeffs)))
-    # the relabelling means T -> T^+ on every basis element: each
-    # coefficient sits on the shifted tableau
+    assert any(m_plus.mul_vec(list(h.coeffs)))
+    # the same coefficients over the stabilized shapes mean T -> T^+ on every
+    # basis element: each coefficient sits on the shifted tableau (on T
+    # itself when k = 0, however large d is)
     checked = 0
     for r in range(0, 7):
         shapes = all_partitions(r)
@@ -305,20 +304,12 @@ def test_stabilize_hom_transport():
                 if len(mu) > 1 and mu[1] > lam[0]:
                     continue
                 for h in hom_dim(lam, mu, 3)[1]:
-                    for k, d in ((1, 1), (2, 1)):
+                    for k, d in ((0, 3), (1, 1), (2, 1)):
+                        moved = HomElement(stabilize(lam, k, d, 3), stabilize(mu, k, d, 3), 3, h.coeffs)
                         expected = [(t.plus(k * 3**d), c) for t, c in h.support()]
-                        assert stabilize_hom(h, k, d).support() == expected, (lam, mu, k, d)
+                        assert moved.support() == expected, (lam, mu, k, d)
                         checked += 1
     assert checked > 0
-
-
-def test_stabilize_hom_identity_and_precondition():
-    dim, basis = hom_dim((2, 2), (3, 1), 3)
-    for h in basis:
-        assert stabilize_hom(h, 0, 3) == h
-    bad = HomElement((1, 1, 1, 1), (2, 2), 3, (1, 0))
-    with pytest.raises(ValueError):
-        stabilize_hom(bad, 1, 1)
 
 
 @pytest.mark.parametrize("str_digits", [None, "0"], ids=["limit-unset", "limit-0"])
@@ -326,18 +317,16 @@ def test_library_refuses_a_huge_first_row(str_digits):
     # in a subprocess, so that computing 3^(10^11) would time out rather
     # than hang the suite; a limit of 0 falls back to 4300 digits
     script = """
-from weylhom import hom_dim, stabilize_hom, verify_stabilization
+from weylhom import verify_stabilization
 from weylhom.shapes import FirstRowTooLargeError
-h = hom_dim((2, 1), (3,), 3)[1][0]
-for call in (lambda: verify_stabilization((2, 1), (3,), 3, 1, 10**11), lambda: stabilize_hom(h, 1, 10**11)):
-    try:
-        call()
-    except FirstRowTooLargeError as exc:
-        print(exc)
+try:
+    verify_stabilization((2, 1), (3,), 3, 1, 10**11)
+except FirstRowTooLargeError as exc:
+    print(exc)
 """
     proc = run_python(["-c", script], str_digits)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "k*p^d = 1*3^100000000000 is too large: a first row would exceed 4300 digits\n" * 2
+    assert proc.stdout == "k*p^d = 1*3^100000000000 is too large: a first row would exceed 4300 digits\n"
 
 
 def test_verify_stabilization_hypotheses_hold():
@@ -417,7 +406,7 @@ def test_transport_check_matches_relation_matrix():
                             if basis:
                                 matrix_plus = relation_matrix(rep.lam_plus, rep.mu_plus, p)
                                 expected = not any(
-                                    any(matrix_plus.mul_vec(stabilize_hom(h, k, d).coeffs))
+                                    any(matrix_plus.mul_vec(h.coeffs))
                                     for h in basis
                                 )
                             assert rep.transport_in_kernel is expected, (lam, mu, p, k, d)

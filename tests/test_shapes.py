@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dominates, transpose, weyl_dimension
+from weylhom import hom_dim, specht_hom_dim, straighten, verify_stabilization
+from weylhom.gfp import NonPrimeModulusError
 from weylhom.shapes import (
     FirstRowTooLargeError,
     all_partitions,
@@ -14,6 +16,7 @@ from weylhom.shapes import (
     partition,
     stabilize,
 )
+from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
 
 
 def test_partition_normalization():
@@ -23,6 +26,48 @@ def test_partition_normalization():
         partition([2, 3])
     with pytest.raises(ValueError):
         partition([3, -1])
+    # a bool is an int, and comes back as one
+    assert [type(v) for v in partition([True, True, False])] == [int, int]
+    assert stabilize((2, 1), True, True, 3) == (5, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: partition((2.7, 1)), ValueError, "part 2.7 is not an integer", id="partition-float"),
+        pytest.param(lambda: partition(("3", "2")), ValueError, "part '3' is not an integer", id="partition-str"),
+        pytest.param(lambda: composition((1, 0.5)), ValueError, "entry 0.5 is not an integer", id="composition-float"),
+        pytest.param(
+            lambda: enumerate_standard((2.9,), (2,)), ValueError, "part 2.9 is not an integer", id="enumerate-float"
+        ),
+        pytest.param(lambda: Tableau([[1.5]]), ValueError, "entry 1.5 is not an integer", id="tableau-float"),
+        pytest.param(
+            lambda: hom_dim((2, 1), (3,), 3.0), NonPrimeModulusError, "modulus 3.0 is not an integer", id="hom-p-float"
+        ),
+        pytest.param(
+            lambda: hom_dim((2, 1), (3,), 43.0), NonPrimeModulusError, "modulus 43.0 is not", id="hom-p-float-43"
+        ),
+        pytest.param(
+            lambda: specht_hom_dim((2, 1), (3,), 3.0), NonPrimeModulusError, "modulus 3.0 is not", id="specht-p-float"
+        ),
+        pytest.param(
+            lambda: straighten((2, 2), from_row_entries([[1, 2], [1, 2]]), 1, 3.0),
+            NonPrimeModulusError,
+            "modulus 3.0 is not",
+            id="straighten-p-float",
+        ),
+        pytest.param(lambda: stabilize((2, 1), 1.5, 1, 3), ValueError, "k and d must be integers", id="stabilize-k"),
+        pytest.param(
+            lambda: verify_stabilization((2, 1), (3,), 3, 1, 1.0), ValueError, "k and d must be integers", id="verify-d"
+        ),
+    ],
+)
+def test_non_integers_are_refused_at_the_boundary(call, error, message):
+    # with p = 3 cached first, so that 3.0 cannot be answered from its entry
+    hom_dim((2, 1), (3,), 3)
+    straighten((2, 2), from_row_entries([[1, 2], [1, 2]]), 1, 3)
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_composition_allows_inner_zeros():

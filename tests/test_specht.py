@@ -1,5 +1,6 @@
 import pytest
 
+import weylhom
 import weylhom.specht as specht
 from conftest import (
     _reference_polytabloid,
@@ -73,7 +74,7 @@ def test_specht_rep_canonicalizes_its_shape_before_the_cache():
     assert specht_rep((2, 1, 0), 3) is rep is specht_rep((2, 1), 3)
     info = specht_rep.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    specht.clear_caches()
+    weylhom.clear_caches()
     assert specht_rep.cache_info().currsize == 0
 
 
