@@ -294,8 +294,7 @@ def test_stabilize_hom_transport():
     m_plus = relation_matrix((11, 3), (14,), 3)
     assert any(m_plus.mul_vec(list(h.coeffs)))
     # the same coefficients over the stabilized shapes mean T -> T^+ on every
-    # basis element: each coefficient sits on the shifted tableau (on T
-    # itself when k = 0, however large d is)
+    # basis element: each coefficient sits on the shifted tableau
     checked = 0
     for r in range(0, 7):
         shapes = all_partitions(r)
@@ -304,12 +303,27 @@ def test_stabilize_hom_transport():
                 if len(mu) > 1 and mu[1] > lam[0]:
                     continue
                 for h in hom_dim(lam, mu, 3)[1]:
-                    for k, d in ((0, 3), (1, 1), (2, 1)):
+                    for k, d in ((1, 1), (2, 1)):
                         moved = HomElement(stabilize(lam, k, d, 3), stabilize(mu, k, d, 3), 3, h.coeffs)
                         expected = [(t.plus(k * 3**d), c) for t, c in h.support()]
                         assert moved.support() == expected, (lam, mu, k, d)
                         checked += 1
     assert checked > 0
+
+
+def test_stabilize_hom_identity_and_precondition():
+    # k = 0 leaves both shapes as they are, so transport is the identity
+    # however large d is
+    lam, mu = (8, 3), (11,)
+    dim, basis = hom_dim(lam, mu, 3)
+    assert dim == 1
+    for h in basis:
+        assert HomElement(stabilize(lam, 0, 3, 3), stabilize(mu, 0, 3, 3), 3, h.coeffs) == h
+    # mu_2 > lambda_1: no bijection onto Std_{lambda^+}(mu^+), so the
+    # transport is not checked and no correspondence is claimed
+    rep = verify_stabilization((1, 1, 1, 1), (2, 2), 3, 1, 1)
+    assert not rep.hyp_overlap and not rep.hypotheses_hold
+    assert rep.transport_in_kernel is None and rep.correspondence_verified is None
 
 
 @pytest.mark.parametrize("str_digits", [None, "0"], ids=["limit-unset", "limit-0"])
