@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .gfp import MatrixGFp, add_scaled, binom_mod, check_prime
 from .polyalg import bounded_compositions
-from .shapes import partition, stabilize
+from .shapes import integer, partition, stabilize
 from .tableaux import Tableau, enumerate_standard
 from .weyl import get_context
 
@@ -50,6 +50,7 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     order of (s_r); those whose coefficient vanishes mod p are dropped.
     """
     check_prime(p)
+    i, t = integer(i, "generator index"), integer(t, "generator degree")
     width = tab.width
     if not 1 <= i < width:
         raise ValueError(f"generator index {i} outside 1..{width - 1}")

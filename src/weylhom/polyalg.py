@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from operator import sub
 
 Monomial = tuple[tuple[int, int], ...]
 ExtMonomial = tuple[tuple[int, ...], ...]
@@ -40,16 +41,11 @@ def mono_degree(m: Monomial) -> int:
 
 def bounded_compositions(total: int, caps) -> list[tuple[int, ...]]:
     """All (v_1, ..., v_n) with sum `total` and 0 <= v_j <= caps[j], in
-    ascending lexicographic order.
-
-    Slots with cap 0 always hold 0, so only the others are stepped, by an
-    odometer without recursion: the lexicographically least completion of
-    a prefix pushes what is left as far right as the caps allow, and the
-    next composition raises the rightmost slot that still has room while
-    some slot after it is nonzero.  A total of sum(caps), or a single open
-    slot, gives one composition without stepping.  Each composition costs
-    O(n) to emit, however many caps there are.
-    """
+    ascending lexicographic order.  The open slots (cap > 0) but the last
+    are extended left to right: a prefix with `left` to place takes each v
+    from max(0, left - room) to min(cap, left), `room` being the caps of
+    the open slots after it; the last takes what is left, so one open slot
+    is never stepped.  A total of 0 or of sum(caps) returns at once."""
     caps = tuple(caps)
     if caps and min(caps) < 0:
         return []
@@ -59,45 +55,25 @@ def bounded_compositions(total: int, caps) -> list[tuple[int, ...]]:
     if total == room:
         return [caps]
     n = len(caps)
-    slots = [j for j in range(n) if caps[j]]
-    m = len(slots)
-    if m == 1:
-        # total < room = the one open cap
-        comp = [0] * n
-        comp[slots[0]] = total
-        return [tuple(comp)]
-    bound = [caps[j] for j in slots]
-    # after[k]: the room of the open slots after slot k
-    after = [0] * m
-    for k in range(m - 2, -1, -1):
-        after[k] = after[k + 1] + bound[k + 1]
-    vals = [0] * m
-
-    def least(k, left):
-        # the least completion of slots k.. that sums to left
-        for i in range(k, m):
-            v = left - after[i]
-            if v < 0:
-                v = 0
-            vals[i] = v
-            left -= v
-
-    least(0, total)
-    comp = [0] * n
-    out: list[tuple[int, ...]] = []
-    while True:
-        for j, v in zip(slots, vals):
-            comp[j] = v
-        out.append(tuple(comp))
-        tail = vals[m - 1]
-        k = m - 2
-        while k >= 0 and not (tail and vals[k] < bound[k]):
-            tail += vals[k]
-            k -= 1
-        if k < 0:
-            return out
-        vals[k] += 1
-        least(k + 1, tail - 1)
+    if total == 0:
+        return [(0,) * n]
+    slots = [j for j, cap in enumerate(caps) if cap]
+    comps: list[tuple[tuple[int, ...], int]] = [((), total)]
+    end = 0
+    for j in slots[:-1]:
+        cap = caps[j]
+        room -= cap
+        pad = (0,) * (j - end)
+        end = j + 1
+        comps = [
+            (comp + pad + (v,), left - v)
+            for comp, left in comps
+            for v in range(max(0, left - room), min(cap, left) + 1)
+        ]
+    last = slots[-1]
+    pad = (0,) * (last - end)
+    tail = (0,) * (n - last - 1)
+    return [comp + pad + (left,) + tail for comp, left in comps]
 
 
 def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
@@ -105,6 +81,8 @@ def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
 
     Each entry's exponent is distributed independently; a component is one
     choice per entry, so the list has no repeats and every coefficient is 1.
+    The splittings are extended entry by entry, each exponent going into the
+    degrees the slots still lack in every `bounded_compositions` way.
     """
     degrees = tuple(int(d) for d in degrees)
     if any(d < 0 for d in degrees):
@@ -113,25 +91,14 @@ def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
         raise ValueError(
             f"degree mismatch: monomial has degree {mono_degree(m)}, slots sum to {sum(degrees)}"
         )
-    results: list[tuple[Monomial, ...]] = []
-    slots: list[list[tuple[int, int]]] = [[] for _ in degrees]
-
-    def rec(idx, remaining):
-        if idx == len(m):
-            results.append(tuple(tuple(s) for s in slots))
-            return
-        e, c = m[idx]
-        for parts in bounded_compositions(c, remaining):
-            for s, v in enumerate(parts):
-                if v:
-                    slots[s].append((e, v))
-            rec(idx + 1, tuple(r - v for r, v in zip(remaining, parts)))
-            for s, v in enumerate(parts):
-                if v:
-                    slots[s].pop()
-
-    rec(0, degrees)
-    return results
+    splits: list[tuple[tuple[Monomial, ...], tuple[int, ...]]] = [(((),) * len(degrees), degrees)]
+    for e, c in m:
+        splits = [
+            (tuple(s + ((e, v),) if v else s for s, v in zip(slots, parts)), tuple(map(sub, left, parts)))
+            for slots, left in splits
+            for parts in bounded_compositions(c, left)
+        ]
+    return [slots for slots, _ in splits]
 
 
 def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial, int]:

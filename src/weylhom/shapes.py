@@ -12,14 +12,21 @@ class FirstRowTooLargeError(ValueError):
     """A stabilized first row with more digits than the int-to-str limit."""
 
 
+def integer(v, what: str) -> int:
+    """v as an int (a bool is one); ValueError naming v if it is not.  The
+    hot callers skip it when type(v) is int, so a cache hit pays no call."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer") from None
+
+
 def partition(parts) -> tuple[int, ...]:
     """Canonical partition: weakly decreasing positive parts, trailing zeros dropped."""
     out = []
     for v in parts:
-        try:
-            v = index(v)
-        except TypeError:
-            raise ValueError(f"part {v!r} is not an integer") from None
+        if type(v) is not int:
+            v = integer(v, "part")
         if v < 0:
             raise ValueError(f"negative part {v}")
         if out and v > out[-1]:
@@ -34,10 +41,8 @@ def composition(parts) -> tuple[int, ...]:
     """Canonical composition: nonnegative entries, trailing zeros dropped."""
     out = []
     for v in parts:
-        try:
-            v = index(v)
-        except TypeError:
-            raise ValueError(f"entry {v!r} is not an integer") from None
+        if type(v) is not int:
+            v = integer(v, "entry")
         if v < 0:
             raise ValueError(f"negative entry {v}")
         out.append(v)

@@ -46,27 +46,18 @@ class DegreeBoundError(ValueError):
 
 def standard_young_tableaux(lam) -> list[tuple[tuple[int, ...], ...]]:
     """Classical standard Young tableaux: entries 1..r each once, rows and
-    columns increasing."""
+    columns increasing, in lexicographic order of their row words.  They
+    are extended one entry at a time: v goes to each row i, in ascending
+    order, that is shorter than lam_i and than row i-1."""
     lam = partition(lam)
-    r = sum(lam)
-    rows: list[list[int]] = [[] for _ in lam]
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(v):
-        if v > r:
-            out.append(tuple(tuple(row) for row in rows))
-            return
-        for i, row in enumerate(rows):
-            j = len(row)
-            if j >= lam[i]:
-                continue
-            if i > 0 and len(rows[i - 1]) <= j:
-                continue
-            rows[i].append(v)
-            rec(v + 1)
-            rows[i].pop()
-
-    rec(1)
+    out: list[tuple[tuple[int, ...], ...]] = [((),) * len(lam)]
+    for v in range(1, sum(lam) + 1):
+        out = [
+            t[:i] + (row + (v,),) + t[i + 1 :]
+            for t in out
+            for i, row in enumerate(t)
+            if len(row) < lam[i] and (i == 0 or len(row) < len(t[i - 1]))
+        ]
     return out
 
 

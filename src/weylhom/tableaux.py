@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .polyalg import bounded_compositions
-from .shapes import composition, partition
+from .shapes import composition, integer, partition
 
 
 def _row_fits(row, prev) -> bool:
@@ -108,15 +108,12 @@ class Tableau(tuple):
 
 def from_row_entries(rows) -> Tableau:
     """Build a tableau from explicit row entry lists, e.g. [[1,1,2],[2,3]]."""
-    width = max((max(row) for row in rows if row), default=0)
     counts = []
     for row in rows:
-        vec = [0] * width
-        for e in row:
-            if e < 1:
-                raise ValueError(f"entries are 1-based, got {e}")
-            vec[e - 1] += 1
-        counts.append(vec)
+        entries = [integer(e, "entry") for e in row]
+        if entries and min(entries) < 1:
+            raise ValueError(f"entries are 1-based, got {min(entries)}")
+        counts.append([entries.count(e) for e in range(1, max(entries, default=0) + 1)])
     return Tableau(counts)
 
 
@@ -144,8 +141,9 @@ def _enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
     entries e fill a strip of alpha_e cells on top of the shape `filled`
     that the entries below e occupy, with at most
     min(mu_i, filled_{i-1}) - filled_i of them in row i, so that each sits
-    under a smaller entry.  What can follow depends only on (e, filled),
-    which is memoized for the call."""
+    under a smaller entry.  The chains are extended one entry at a time,
+    kept by the filling they reach, so the strips on a filling are listed
+    once however many chains meet there."""
     if sum(mu) != sum(alpha):
         raise ValueError(f"degree mismatch: shape {mu} vs weight {alpha}")
     if not mu:
@@ -158,31 +156,18 @@ def _enumerate_standard(mu, alpha) -> tuple[Tableau, ...]:
             (mu[0] - m,) + mu[1:], (alpha[0] - m,) + alpha[1:]
         )
         return tuple(t.plus(m) for t in reduced)
-    # forward from the empty filling: layers[e] maps each filling that the
-    # strips of the entries below e reach to the strips of entry e on it,
-    # each with the filling it leads to; no frame per entry
-    layers: list[dict[tuple[int, ...], list]] = [{(0,) * len(mu): []}]
-    for e in range(len(alpha)):
+    chains: dict[tuple[int, ...], list] = {(0,) * len(mu): [()]}
+    for size in alpha:
         step: dict[tuple[int, ...], list] = {}
-        for filled, moves in layers[e].items():
+        for filled, reach in chains.items():
             above = (mu[0],) + filled[:-1]
             caps = [min(m_i, a) - f for m_i, a, f in zip(mu, above, filled)]
-            for strip in bounded_compositions(alpha[e], caps):
+            for strip in bounded_compositions(size, caps):
                 after = tuple(f + v for f, v in zip(filled, strip))
-                moves.append((strip, after))
-                step.setdefault(after, [])
-        layers.append(step)
-    # alpha and mu have one degree, so the last layer holds only mu
-    memo: dict[tuple[int, tuple[int, ...]], list] = {(len(alpha), mu): [()]}
-    # backward: every sequence of strips for entries e+1.. that completes
-    # `filled` to mu, in the order of the strips and then of what follows
-    for e in range(len(alpha) - 1, -1, -1):
-        for filled, moves in layers[e].items():
-            memo[e, filled] = [
-                (strip,) + rest for strip, after in moves for rest in memo[e + 1, after]
-            ]
+                step.setdefault(after, []).extend(chain + (strip,) for chain in reach)
+        chains = step
     # strip e is column e of the counts; rows of width len(alpha) with sums mu
-    rows = sorted(tuple(zip(*chain)) for chain in memo[0, (0,) * len(mu)])
+    rows = sorted(tuple(zip(*chain)) for chain in chains.get(mu, ()))
     return tuple(map(Tableau._of, rows))
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from . import config
 from .gfp import InconsistentSystemError, add_scaled, binom_mod, check_prime, reduce_lowest
 from .polyalg import ExpansionLimitError, bounded_compositions, dprime, mono
-from .shapes import partition
+from .shapes import integer, partition
 from .tableaux import Tableau, enumerate_standard
 
 
@@ -216,8 +216,9 @@ def get_context(mu, p: int) -> WeylContext:
 
 
 def straighten(mu, tab: Tableau, coeff: int, p: int) -> dict[Tableau, int]:
-    """Standard-basis coordinates of coeff * [tab] in Delta(mu), as a new dict."""
-    return get_context(mu, p).straighten_terms([(coeff, tab)])
+    """Standard-basis coordinates of coeff * [tab] in Delta(mu), as a new dict;
+    ValueError on a coefficient that is not an integer."""
+    return get_context(mu, p).straighten_terms([(integer(coeff, "coefficient"), tab)])
 
 
 def realize(mu, tab: Tableau, p: int) -> dict:

@@ -160,6 +160,17 @@ def test_a_weight_of_1200_entries_is_computed(capsys):
     assert report["dim"] == 0 and report["std_count"] == 1
 
 
+def test_oracle_on_a_row_of_1200_is_computed(capsys, monkeypatch):
+    # both sides of the oracle on a degree-1200 one-row pair: no recursion
+    # limit on the Specht side's standard tableaux
+    monkeypatch.setenv("WEYLHOM_SPECHT_BOUND", "1200")
+    code, report = run_json(
+        capsys, "oracle", "-p", "3", "--lambda", "1200", "--mu", "1200", "--format", "json"
+    )
+    assert code == 0
+    assert report["agree"] is True and report["specht_dim"] == 1 and report["weyl_dim"] == 1
+
+
 def test_budget_counts_what_dprime_deals(capsys, monkeypatch):
     # dealt over every column order, a class of 1^12 in shape (10, 2) has
     # 7,257,600 terms; dprime deals about a hundred, inside any budget here

@@ -96,6 +96,12 @@ def test_bounded_compositions_of_many_caps_need_no_recursion():
     assert bounded_compositions(3000, [1] * 3000) == [(1,) * 3000]
 
 
+def test_dp_comult_of_1200_entries_needs_no_recursion():
+    # the splittings are extended entry by entry, with no frame per entry
+    m = mono({i: 1 for i in range(1, 1201)})
+    assert dp_comult(m, (1200,)) == [(m,)]
+
+
 def test_dp_comult_counts_match_multinomial_of_supports():
     # number of splittings = product over entries of compositions of the exponent
     rng = random.Random(2)

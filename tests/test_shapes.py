@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dominates, transpose, weyl_dimension
-from weylhom import hom_dim, specht_hom_dim, straighten, verify_stabilization
+from weylhom import hom_dim, phi_eval_terms, specht_hom_dim, straighten, verify_stabilization
 from weylhom.gfp import NonPrimeModulusError
 from weylhom.shapes import (
     FirstRowTooLargeError,
@@ -59,6 +59,27 @@ def test_partition_normalization():
         pytest.param(lambda: stabilize((2, 1), 1.5, 1, 3), ValueError, "k and d must be integers", id="stabilize-k"),
         pytest.param(
             lambda: verify_stabilization((2, 1), (3,), 3, 1, 1.0), ValueError, "k and d must be integers", id="verify-d"
+        ),
+        pytest.param(
+            lambda: straighten((2, 2), from_row_entries([[1, 2], [1, 2]]), 1.5, 5),
+            ValueError,
+            "coefficient 1.5 is not an integer",
+            id="straighten-coeff-float",
+        ),
+        pytest.param(
+            lambda: from_row_entries([[1.0, 2]]), ValueError, "entry 1.0 is not an integer", id="row-entry-float"
+        ),
+        pytest.param(
+            lambda: phi_eval_terms(from_row_entries([[1, 2], [2, 3]]), 1, 1.0, 5),
+            ValueError,
+            "generator degree 1.0 is not an integer",
+            id="phi-t-float",
+        ),
+        pytest.param(
+            lambda: phi_eval_terms(from_row_entries([[1, 2], [2, 3]]), 1.0, 1, 5),
+            ValueError,
+            "generator index 1.0 is not an integer",
+            id="phi-i-float",
         ),
     ],
 )

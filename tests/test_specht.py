@@ -61,6 +61,14 @@ def test_trivial_and_sign_modules():
     assert rep.dim == 1 and all(g == ((2,),) for g in rep.gens)
 
 
+def test_a_row_of_1200_is_built_with_no_recursion():
+    # the standard tableaux are extended one entry at a time, with no frame
+    # per entry; the one tableau of (1200,) gives 1,199 generators, each 1
+    rep = specht_rep((1200,), 3)
+    assert rep.dim == 1 and len(rep.gens) == 1199
+    assert all(g == ((1,),) for g in rep.gens)
+
+
 def test_two_one_over_gf3():
     rep = specht_rep((2, 1), 3)
     assert rep.dim == 2
