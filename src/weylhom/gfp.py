@@ -1,16 +1,18 @@
 """Exact arithmetic over GF(p): binomials via Lucas digits, sparse matrices, kernels.
 
 Everything is integer arithmetic on residues in [0, p).  No floats, no
-probabilistic shortcuts: ranks and kernels are exact.  An `Echelon` computes
-the reduced echelon form once, when it is built; the form depends only on
-the row space and not on the order rows are absorbed in, so bases are
-reproducible across runs.  Its back-substitution touches each pivot row only
-at the pivot columns that row holds, so it costs in proportion to the
-nonzeros, not to rank^2; a linear system is solved by reading the kernel of
-its augmented matrix.  A basis
-that is already unitriangular (each element has its own lowest key, with
-coefficient 1) needs no elimination at all: `reduce_lowest` solves against
-it term by term.
+probabilistic shortcuts: ranks and kernels are exact.  An `Echelon` keeps
+the reduced echelon form of a matrix that grows by batches of rows, reduced
+after every batch; the form depends only on the row space and not on the
+order or batching of the rows, so bases are reproducible across runs.  Each
+row is reduced once at every pivot column it holds, so the arithmetic
+follows the nonzeros, not rank^2.  After any batch it names the support of
+the kernel, the columns some kernel vector is nonzero on: a caller that
+streams equations in can leave the other columns out of later rows, since
+every solution is 0 there.  A linear system is solved by reading the kernel
+of its augmented matrix.  A basis that is already unitriangular (each
+element has its own lowest key, with coefficient 1) needs no elimination at
+all: `reduce_lowest` solves against it term by term.
 """
 
 from __future__ import annotations
@@ -136,24 +138,6 @@ def reduce_lowest(vec: dict, basis: dict, p: int) -> dict:
     return coords
 
 
-def absorb_row(pivots: dict, row: dict, p: int) -> bool:
-    """One pivot step of Gaussian elimination over GF(p): reduce `row` in place
-    against `pivots` (lead -> row, lowest key the lead with coefficient 1)
-    and, if anything is left, store it under its lowest key scaled to a unit
-    lead.  True iff the row added a pivot, so absorbing rows one at a time
-    is a streaming rank.
-    """
-    while row:
-        lead = min(row)
-        existing = pivots.get(lead)
-        if existing is None:
-            inv = pow(row[lead], -1, p)
-            pivots[lead] = {j: (c * inv) % p for j, c in row.items()}
-            return True
-        add_scaled(row, -row[lead], existing, p)
-    return False
-
-
 class MatrixGFp:
     """Sparse matrix over GF(p): rows stored as {col: nonzero residue}."""
 
@@ -175,38 +159,86 @@ class MatrixGFp:
 
 
 class Echelon:
-    """Reduced echelon form of a MatrixGFp, reusable for kernels and solves.
+    """Reduced echelon form of a growing MatrixGFp, reusable for kernels and solves.
 
-    Each distinct nonzero row is absorbed once, shortest first (ties by
-    input index), and claims the lowest column not yet used as a pivot; empty
-    and repeated rows add nothing to the row space, and the reduced form does
-    not depend on the absorption order.  Back-substitution then clears every
-    pivot column above its pivot, from the highest lead down.  A finished row
-    holds no pivot column but its own lead, so subtracting it from a lower
-    row clears one pivot column and brings in no other: each row is reduced
-    only at the pivot columns it held after elimination, and the cost follows
-    the nonzeros of the rows involved, not rank^2.  `kernel_basis` then reads
-    each reduced row once.
+    The form is reduced after every batch of rows: each pivot row has its
+    lead as lowest key, with coefficient 1, and holds no other pivot column.
+    It depends only on the row space, so the order and batching of the rows
+    change its cost, never its result.  `Echelon(matrix)` absorbs the
+    matrix's rows as one batch; `absorb` appends more rows to the matrix and
+    brings the form up to date.  A batch works in three passes:
+
+    * each row is reduced at every pivot column it holds; a pivot row
+      holds no other pivot column, so one pass leaves the row with free
+      columns only, and a row in the span of the pivots leaves nothing;
+    * the rows left are taken in descending order of their lowest column
+      (shorter first among ties), each reduced at the new pivots it holds
+      and stored under its lowest column, scaled to a unit lead.  The new
+      pivot rows taken before it hold no column below their own leads,
+      which are at or above the row's lowest column; so when that column
+      survives the reduction no new pivot row holds it, and only a row
+      whose lowest column was cleared is subtracted from the new rows that
+      hold its lead;
+    * the older pivot rows are reduced once at each new pivot column they
+      hold; the new rows hold no pivot column but their own lead, so this
+      brings in only free columns and nothing cascades.
+
+    The arithmetic follows the nonzeros of the rows involved; finding the
+    older rows that hold a new pivot column takes one membership test per
+    older row.
     """
 
     def __init__(self, matrix: MatrixGFp):
         self.matrix = matrix
-        p = self.p = matrix.p
+        self.p = matrix.p
         self.ncols = matrix.ncols
         # pivot col -> reduced row
-        pivots: dict[int, dict[int, int]] = {}
-        self.pivot_rows = pivots
-        rows = matrix.rows
-        first = {}
-        for idx, row in enumerate(rows):
-            if row:
-                first.setdefault(frozenset(row.items()), idx)
-        for idx in sorted(first.values(), key=lambda i: len(rows[i])):
-            absorb_row(pivots, dict(rows[idx]), p)
-        for lead in sorted(pivots, reverse=True):
-            row = pivots[lead]
-            for col in [j for j in row if j != lead and j in pivots]:
+        self.pivot_rows: dict[int, dict[int, int]] = {}
+        self._reduce(matrix.rows)
+
+    def absorb(self, rows: list[dict[int, int]]) -> None:
+        """Append rows to the matrix as one batch and reduce them in."""
+        self.matrix.rows.extend(rows)
+        self.matrix.nrows += len(rows)
+        self._reduce(rows)
+
+    def _reduce(self, rows) -> None:
+        p = self.p
+        pivots = self.pivot_rows
+        pending = []
+        for row in rows:
+            row = dict(row)
+            for col in [j for j in row if j in pivots]:
                 add_scaled(row, -row[col], pivots[col], p)
+            if row:
+                pending.append((-min(row), len(row), row))
+        pending.sort(key=lambda entry: entry[:2])
+        new: dict[int, dict[int, int]] = {}
+        for low, _, row in pending:
+            for col in [j for j in row if j in new]:
+                add_scaled(row, -row[col], new[col], p)
+            if not row:
+                continue
+            lead = min(row)
+            inv = pow(row[lead], -1, p)
+            if inv != 1:
+                row = {j: c * inv % p for j, c in row.items()}
+            if lead != -low:
+                for other in new.values():
+                    c = other.get(lead)
+                    if c:
+                        add_scaled(other, -c, row, p)
+            new[lead] = row
+        for lead, pivot in new.items():
+            for row in [row for row in pivots.values() if lead in row]:
+                add_scaled(row, -row[lead], pivot, p)
+        pivots.update(new)
+
+    def support(self) -> list[int]:
+        """The columns where some kernel vector is nonzero, ascending: the free
+        columns and the pivots whose reduced row holds a free column."""
+        pivots = self.pivot_rows
+        return [j for j in range(self.ncols) if len(pivots.get(j, ())) != 1]
 
     @property
     def rank(self) -> int:

@@ -13,13 +13,22 @@ the product of E_i^(p^j) over the base-p digits t_j of t (each taken t_j
 times); whatever every E_i^(p^j) kills, E_i^(t) kills too.  The rows of a
 generator are keyed by the standard tableaux its images reach, so a target
 no image reaches gives no row.
+
+`relation_matrix` builds every row.  `hom_dim` instead streams the
+generators' blocks, in (i, t) order, into one `gfp.Echelon`, and evaluates
+each later generator only on the columns of the kernel's support so far;
+once that support is empty, Hom is 0 and the rest is never evaluated.  This
+is exact: every vector of the kernel so far is 0 off its support, so a row
+cut to the support cuts the same vectors out of it as the whole row does.
+The final kernel is therefore the kernel of `relation_matrix`, and since
+the reduced form depends only on the row space, so is its basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gfp import MatrixGFp, add_scaled, binom_mod, check_prime
+from .gfp import Echelon, MatrixGFp, add_scaled, binom_mod, check_prime
 from .polyalg import bounded_compositions
 from .shapes import integer, partition, stabilize
 from .tableaux import Tableau, enumerate_standard
@@ -80,6 +89,28 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     return terms
 
 
+def _generators(lam, p: int):
+    """The relation generators that get rows, as (i, t): i = 1..len(lam)-1
+    and t = 1, p, p^2, ... <= lam_{i+1}, in that order."""
+    for i in range(1, len(lam)):
+        t = 1
+        while t <= lam[i]:
+            yield i, t
+            t *= p
+
+
+def _generator_rows(ctx, std, cols, i: int, t: int, p: int) -> list[dict[int, int]]:
+    """The block of x_{i,t}: one row per standard tableau that some image
+    phi_T(x_{i,t}), T = std[col] for col in cols, reaches, in order of that
+    tableau, holding the straightened coordinates of the images."""
+    block: dict[Tableau, dict[int, int]] = {}
+    for col in cols:
+        coords = ctx.straighten_terms(phi_eval_terms(std[col], i, t, p))
+        for s, v in coords.items():
+            block.setdefault(s, {})[col] = v
+    return [block[s] for s in sorted(block)]
+
+
 def relation_matrix(lam, mu, p: int) -> MatrixGFp:
     """Rows: the nonzero standard-basis coordinates of phi_T(x_{i,t}) for
     i = 1..len(lam)-1 and t = 1, p, p^2, ... <= lam_{i+1}, stacked in (i, t)
@@ -91,21 +122,28 @@ def relation_matrix(lam, mu, p: int) -> MatrixGFp:
     check_prime(p)
     std = enumerate_standard(mu, lam)
     ctx = get_context(mu, p)
-    rows: list[dict[int, int]] = []
-    for i in range(1, len(lam)):
-        t = 1
-        while t <= lam[i]:
-            block: dict[Tableau, dict[int, int]] = {}
-            for col, tab in enumerate(std):
-                coords = ctx.straighten_terms(phi_eval_terms(tab, i, t, p))
-                for s, v in coords.items():
-                    block.setdefault(s, {})[col] = v
-            rows.extend(block[s] for s in sorted(block))
-            t *= p
+    cols = range(len(std))
+    rows = [row for i, t in _generators(lam, p) for row in _generator_rows(ctx, std, cols, i, t, p)]
     return MatrixGFp(len(rows), len(std), p, rows)
 
 
 _hom_cache: dict[tuple, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+
+
+def _kernel(lam, mu, p: int, std) -> tuple[tuple[int, ...], ...]:
+    """The reduced kernel basis of relation_matrix(lam, mu, p), from one
+    block per generator on the columns still live (see the module docstring)."""
+    ctx = get_context(mu, p)
+    ech = Echelon(MatrixGFp(0, len(std), p))
+    live = range(len(std))
+    for i, t in _generators(lam, p):
+        rows = _generator_rows(ctx, std, live, i, t, p)
+        if rows:
+            ech.absorb(rows)
+            live = ech.support()
+            if not live:
+                return ()
+    return tuple(map(tuple, ech.kernel_basis()))
 
 
 def hom_dim(lam, mu, p: int) -> tuple[int, list[HomElement]]:
@@ -118,12 +156,9 @@ def hom_dim(lam, mu, p: int) -> tuple[int, list[HomElement]]:
     key = (lam, mu, p)
     cached = _hom_cache.get(key)
     if cached is None:
-        if not enumerate_standard(mu, lam):
-            cached = (0, ())
-        else:
-            kernel = relation_matrix(lam, mu, p).kernel_basis()
-            cached = (len(kernel), tuple(tuple(v) for v in kernel))
-        _hom_cache[key] = cached
+        std = enumerate_standard(mu, lam)
+        kernel = _kernel(lam, mu, p, std) if std else ()
+        cached = _hom_cache[key] = (len(kernel), kernel)
     dim, vectors = cached
     return dim, [HomElement(lam, mu, p, v) for v in vectors]
 

@@ -21,8 +21,9 @@ cyclic, generated by any one polytabloid, and s_i e_t = e_{s_i t} when i and
 i+1 share neither row nor column of t.  So a module map is fixed by the
 image v of e_{t0}, the first standard polytabloid, and a spanning tree of
 those moves carries v to every e_t.  The intertwiner equations left over
-are linear in the coordinates of v; they are built and absorbed one row at
-a time, and the solve stops once their rank is full (Hom is then 0).
+are linear in the coordinates of v; they are built one row at a time and
+streamed into a `gfp.Echelon`, the elimination the Weyl side uses too, and
+the solve stops once their rank is full (Hom is then 0).
 Nothing here needs p odd.  For odd p the dimensions match the Weyl-side
 ones under the classical dictionary, which is what oracle_compare checks,
 and only there is p = 2 refused.
@@ -35,7 +36,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import config
-from .gfp import absorb_row, add_scaled, check_prime, reduce_lowest
+from .gfp import Echelon, MatrixGFp, add_scaled, check_prime, reduce_lowest
 from .homspace import hom_dim
 from .shapes import partition
 
@@ -235,8 +236,9 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
     mirror of a move, s_i e_c = e_b after s_i e_b = e_c was used, gives
     A_i times the same rows (A_i^2 = 1) and is skipped, as are repeated
     rows.  Each row is built only when it is absorbed, with the rows of M it
-    needs, and `gfp.absorb_row` takes the rank one row at a time: at rank fa
-    only v = 0 is left, and the answer is 0 without reading the rest.
+    needs, and streamed into one `gfp.Echelon`, whose rank is current after
+    every row: at rank fa only v = 0 is left, and the answer is 0 without
+    reading the rest.
     """
     nu = partition(nu)
     nu_prime = partition(nu_prime)
@@ -271,7 +273,7 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
             m_rows[t, a] = row
         return row
 
-    pivots: dict[int, dict[int, int]] = {}
+    ech = Echelon(MatrixGFp(0, fa, p))
     seen = set()  # rows already absorbed; membership only
     for b in order:
         for i, a_gen in enumerate(a_rows):
@@ -288,9 +290,10 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
                 if not row or key in seen:
                     continue
                 seen.add(key)
-                if absorb_row(pivots, row, p) and len(pivots) == fa:
+                ech.absorb([row])
+                if ech.rank == fa:
                     return 0
-    return fa - len(pivots)
+    return fa - ech.rank
 
 
 # Orientation of the dictionary between the two sides, pinned empirically

@@ -308,6 +308,8 @@ def test_scan_rejects_negative_k_and_d(capsys):
 SCAN_2 = ["scan", "--max-degree", "2"]
 DIM_2_2 = ["dim", "-p", "2", "--lambda", "1,1,1,1", "--mu", "2,2"]
 DIM_3 = ["dim", "-p", "3", "--lambda", "2,1", "--mu", "3"]
+# a dim that needs five exterior solves, however few columns stay live
+DIM_1_5 = ["dim", "-p", "2", "--lambda", "1^5", "--mu", "2,2,1"]
 
 
 @pytest.mark.parametrize(
@@ -318,7 +320,7 @@ DIM_3 = ["dim", "-p", "3", "--lambda", "2,1", "--mu", "3"]
         for i, case in enumerate([
             ("WEYLHOM_WORKERS", "abc", SCAN_2, "must be an integer"),
             ("WEYLHOM_MAX_SCAN_DEGREE", "abc", SCAN_2, "must be an integer"),
-            ("WEYLHOM_EXPANSION_LIMIT", "1", DIM_2_2, "beyond the budget"),
+            ("WEYLHOM_EXPANSION_LIMIT", "1", DIM_1_5, "beyond the budget"),
             ("WEYLHOM_MAX_SCAN_DEGREE", "-3", SCAN_2, "must be at least 0"),
             ("WEYLHOM_EXPANSION_LIMIT", "0", DIM_2_2, "must be at least 1"),
             ("WEYLHOM_EXPANSION_LIMIT", "-1", DIM_2_2, "must be at least 1"),

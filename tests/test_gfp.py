@@ -14,7 +14,6 @@ from weylhom.gfp import (
     InconsistentSystemError,
     MatrixGFp,
     NonPrimeModulusError,
-    absorb_row,
     add_scaled,
     binom_mod,
     check_prime,
@@ -231,28 +230,38 @@ def test_echelon_solve_contract_by_brute_force():
         assert all(x[j] == 0 for j in range(ncols) if j not in ech.pivot_rows)
 
 
-def test_absorb_row_is_a_streaming_rank():
-    # rows absorbed one at a time in their given order: each call says
-    # whether it added a pivot, the count after every prefix is that
-    # prefix's rank, and every stored pivot has its lead as lowest key,
-    # with coefficient 1
+def test_echelon_absorb_is_a_streaming_reduced_form():
+    # rows absorbed in batches of 0 to 4, in their given order: after every
+    # batch the form equals that of the whole prefix built at once and dense
+    # Gauss-Jordan's, every lead is its row's lowest key with coefficient
+    # 1, the matrix holds exactly the rows given, and the support is where
+    # the kernel basis is nonzero
     rng = random.Random(31)
-    for _ in range(200):
+    for _ in range(300):
         p = rng.choice([2, 3, 5, 7])
-        ncols = rng.randrange(1, 7)
+        ncols = rng.randrange(1, 9)
         rows = [
             {j: v for j in range(ncols) if (v := rng.randrange(p)) and rng.random() < 0.5}
-            for _ in range(rng.randrange(0, 10))
+            for _ in range(rng.randrange(0, 14))
         ]
-        pivots: dict = {}
-        for n, row in enumerate(rows, start=1):
-            before = len(pivots)
-            added = absorb_row(pivots, dict(row), p)
-            assert len(pivots) == before + added
+        if rows and rng.random() < 0.5:
+            rows.append(dict(rng.choice(rows)))
+        ech = Echelon(MatrixGFp(0, ncols, p))
+        n = 0
+        while True:
+            batch = [dict(r) for r in rows[n : n + rng.randrange(0, 5)]]
+            ech.absorb(batch)
+            n += len(batch)
             prefix = MatrixGFp(n, ncols, p, [dict(r) for r in rows[:n]])
-            assert len(pivots) == Echelon(prefix).rank
-        for lead, pivot in pivots.items():
-            assert min(pivot) == lead and pivot[lead] == 1
+            assert (ech.matrix.nrows, ech.matrix.rows) == (n, prefix.rows)
+            pivots, kernel = reference_rref(prefix)
+            assert ech.pivot_rows == Echelon(prefix).pivot_rows == pivots
+            for lead, pivot in ech.pivot_rows.items():
+                assert min(pivot) == lead and pivot[lead] == 1
+            assert ech.kernel_basis() == kernel
+            assert ech.support() == sorted({j for v in kernel for j, c in enumerate(v) if c})
+            if n == len(rows):
+                break
 
 
 def test_reduce_lowest_on_random_unitriangular_bases():

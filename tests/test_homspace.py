@@ -214,6 +214,31 @@ def test_p_power_generators_keep_the_kernel_of_all_generators():
     assert checked == 357
 
 
+def test_hom_dim_streams_to_the_kernel_of_relation_matrix():
+    # hom_dim evaluates later generators only on the kernel's live columns
+    # and stops once none is left; relation_matrix evaluates every column of
+    # every generator.  Their reduced kernel bases must be the same: on every
+    # pair of degree <= 7 with a nonempty Std, and on the paper's large
+    # family with its stabilizations
+    checked = 0
+    for r in range(1, 8):
+        shapes = all_partitions(r)
+        for p in (2, 3, 5):
+            for lam in shapes:
+                for mu in shapes:
+                    if not enumerate_standard(mu, lam):
+                        continue
+                    want = relation_matrix(lam, mu, p).kernel_basis()
+                    assert [list(h.coeffs) for h in hom_dim(lam, mu, p)[1]] == want, (lam, mu, p)
+                    checked += 1
+    assert checked == 699
+    lam, mu = (28, 5) + (2,) * 9, (31, 20)
+    for p, k, d in ((3, 1, 2), (3, 2, 3), (3, 3, 3), (5, 1, 1), (5, 2, 2)):
+        for pair in ((lam, mu), (stabilize(lam, k, d, p), stabilize(mu, k, d, p))):
+            want = relation_matrix(*pair, p).kernel_basis()
+            assert [list(h.coeffs) for h in hom_dim(*pair, p)[1]] == want, (pair, p)
+
+
 @pytest.mark.parametrize("lam, mu, p", [((5, 2), (7,), 2), ((5, 3), (8,), 3)])
 def test_rows_of_t_equal_p_are_needed(lam, mu, p):
     # the t = 1 rows alone leave a spurious map; the t = p row removes it
