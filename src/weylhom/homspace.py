@@ -26,7 +26,7 @@ the reduced form depends only on the row space, so is its basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gfp import Echelon, MatrixGFp, add_scaled, binom_mod, check_prime
 from .polyalg import bounded_compositions
@@ -35,8 +35,7 @@ from .tableaux import Tableau, enumerate_standard
 from .weyl import get_context
 
 
-@dataclass(frozen=True)
-class HomElement:
+class HomElement(NamedTuple):
     """A GF(p) coefficient vector over the standard tableaux of shape mu and
     weight lambda, representing sum coeffs[T] * phi_T."""
 
@@ -189,8 +188,7 @@ def _power_exceeds(p: int, d: int, bound: int) -> bool:
     return power > bound
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """Outcome of one row-stabilization check.
 
     When both hypotheses hold the two dimensions must agree and the

@@ -37,6 +37,15 @@ def partition(parts) -> tuple[int, ...]:
     return tuple(out)
 
 
+def transpose(lam) -> tuple[int, ...]:
+    """The conjugate partition, the column lengths of the diagram:
+    transpose(lam)[j] = #{i : lam_i >= j+1}."""
+    lam = partition(lam)
+    if not lam:
+        return ()
+    return tuple(sum(1 for part in lam if part >= j) for j in range(1, lam[0] + 1))
+
+
 def composition(parts) -> tuple[int, ...]:
     """Canonical composition: nonnegative entries, trailing zeros dropped."""
     out = []

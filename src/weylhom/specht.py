@@ -24,6 +24,14 @@ those moves carries v to every e_t.  The intertwiner equations left over
 are linear in the coordinates of v; they are built one row at a time and
 streamed into a `gfp.Echelon`, the elimination the Weyl side uses too, and
 the solve stops once their rank is full (Hom is then 0).
+
+A polytabloid has one term per column permutation, 5,040 for (1^7), and
+building the modules is most of the oracle's work.  So each Hom is solved
+in whichever orientation has the smaller polytabloids.  Both orientations
+give one dimension at every prime: over any field the dual of the lam
+Specht module is the transpose(lam) one twisted by the sign (James, LNM
+682, Theorem 8.15), so maps from the mu module to the lam one correspond
+to maps from the transpose(lam) module to the transpose(mu) one.
 Nothing here needs p odd.  For odd p the dimensions match the Weyl-side
 ones under the classical dictionary, which is what oracle_compare checks,
 and only there is p = 2 refused.
@@ -31,14 +39,15 @@ and only there is p = 2 refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import config
 from .gfp import Echelon, MatrixGFp, add_scaled, check_prime, reduce_lowest
 from .homspace import hom_dim
-from .shapes import partition
+from .shapes import partition, transpose
 
 
 class DegreeBoundError(ValueError):
@@ -116,8 +125,7 @@ def _polytabloid(tableau, p, b, signed) -> dict[int, int]:
     return {x: c % p for x, c in vec.items()}
 
 
-@dataclass(frozen=True)
-class SpechtRep:
+class SpechtRep(NamedTuple):
     """Specht module over GF(p) with the actions of adjacent transpositions
     expressed on the standard polytabloid basis."""
 
@@ -158,34 +166,35 @@ def _specht_rep(lam, p: int) -> SpechtRep:
         leads[lead] = (c, vec)
     col_words = [_row_word(_columns(t)) for t in syts]  # w[v-1]: the column of v
     syt_index = {x: c for c, x in enumerate(codes)}
-    gens = []
+    # s_i trades the digits of i and i+1, the base-b digits t // b and t % b
+    # of t = x // lo % b^2: one table lookup moves a code x
     window = b * b
+    moves = []
     for i in range(1, r):
-        # s_i trades the digits of i and i+1, the base-b digits t // b and
-        # t % b of t = x // lo % b^2: one table lookup moves a code x
         lo = b ** (r - i - 1)
-        shift = [((t % b) * b + t // b - t) * lo for t in range(window)]
-        cols = []
-        for c, vec in enumerate(basis):
+        moves.append((lo, [((t % b) * b + t // b - t) * lo for t in range(window)]))
+    mats = [[[0] * f for _ in range(f)] for _ in moves]  # mats[i-1][row][c]: row of s_i e_{t_c}
+    for c, vec in enumerate(basis):
+        negated = None  # -e_t, built once for every s_i that fixes a column of t
+        for i, (lo, shift), mat in zip(range(1, r), moves, mats):
             moved = {x + shift[x // lo % window]: v for x, v in vec.items()}
             dx = shift[codes[c] // lo % window]
-            col = [0] * f
-            cols.append(col)
             if not dx:  # i and i+1 share a row of t
                 for target, v in reduce_lowest(moved, leads, p).items():
-                    col[target] = v
+                    mat[target][c] = v
                 continue
             if col_words[c][i - 1] == col_words[c][i]:
-                target, value, expected = c, p - 1, {k: p - v for k, v in vec.items()}
+                if negated is None:
+                    negated = {k: p - v for k, v in vec.items()}
+                target, value, expected = c, p - 1, negated
             else:
                 target = syt_index[codes[c] + dx]
                 value, expected = 1, basis[target]
             if moved != expected:
                 raise ArithmeticError(f"Young's rule fails for s_{i} on {syts[c]} mod {p}")
-            col[target] = value
-        # cols[c][row]: coordinate of s_i e_{t_c}; store as row-major matrix
-        gens.append(tuple(tuple(cols[c][row] for c in range(f)) for row in range(f)))
-    return SpechtRep(lam, p, f, tuple(gens))
+            mat[target][c] = value
+    gens = tuple(tuple(map(tuple, mat)) for mat in mats)
+    return SpechtRep(lam, p, f, gens)
 
 
 specht_rep.cache_info = _specht_rep.cache_info
@@ -222,6 +231,23 @@ def _spanning_tree(lam, cols) -> tuple[list[int], dict[int, tuple[int, int] | No
     return order, edge
 
 
+def _polytabloid_size(lam) -> int:
+    """Terms of one polytabloid of lam: one per column permutation, the
+    product of (column height)! over its columns."""
+    return prod(map(factorial, transpose(lam)))
+
+
+def _oriented(nu, nu_prime) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair whose Hom specht_hom_dim solves: (transpose(nu_prime),
+    transpose(nu)) when its two polytabloids hold fewer terms together than
+    those of (nu, nu_prime), else (nu, nu_prime), also on a tie.  The
+    dimension is the same either way (see specht_hom_dim)."""
+    conj = transpose(nu_prime), transpose(nu)
+    if sum(map(_polytabloid_size, conj)) < _polytabloid_size(nu) + _polytabloid_size(nu_prime):
+        return conj
+    return nu, nu_prime
+
+
 def specht_hom_dim(nu, nu_prime, p: int) -> int:
     """dim of module maps X from the nu_prime Specht module to the nu one, at
     any prime.  DegreeBoundError above degree WEYLHOM_SPECHT_BOUND.
@@ -239,6 +265,15 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
     needs, and streamed into one `gfp.Echelon`, whose rank is current after
     every row: at rank fa only v = 0 is left, and the answer is 0 without
     reading the rest.
+
+    All of this runs on the pair `_oriented` picks after the degree check,
+    the given one or (transpose(nu_prime), transpose(nu)), whichever has the
+    smaller polytabloids (the given one on a tie).  Both have one Hom
+    dimension at every prime: the dual of the lam module is the
+    transpose(lam) one twisted by the sign (James, LNM 682, Theorem 8.15),
+    so dualizing turns maps from the nu_prime module to the nu one into
+    maps from the transpose(nu) module to the transpose(nu_prime) one, and
+    the sign twist of both sides cancels.
     """
     nu = partition(nu)
     nu_prime = partition(nu_prime)
@@ -249,6 +284,7 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
     limit = config.specht_degree_bound()
     if r > limit:
         raise DegreeBoundError(f"degree {r} exceeds oracle bound {limit}")
+    nu, nu_prime = _oriented(nu, nu_prime)
     rep_a = specht_rep(nu, p)
     rep_b = specht_rep(nu_prime, p)
     fa = rep_a.dim

@@ -32,12 +32,13 @@ back-substitution are checked against.
 
 The reference implementations the library itself never runs live here too:
 dense and entrywise matrix construction (`from_dense`, `set_entry`), the
-divided-power product `dp_mult`, on partitions `transpose`, `dominates`
+divided-power product `dp_mult`, on partitions `dominates`
 and the Weyl dimension formula `weyl_dimension`, the relation generators
 x_{i,t} for every t (`relation_generators`, with `is_power` picking the
 t = p^j that `relation_matrix` walks) and their weights
 (`generator_weight`), and the size of the full dealing over every column
-order (`tensor_expansion_count`).
+order (`tensor_expansion_count`).  The tests take the conjugate
+`transpose` from here too; it is the library's `weylhom.shapes.transpose`.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from weylhom.polyalg import (
     mono,
     mono_degree,
 )
-from weylhom.shapes import composition, partition
+from weylhom.shapes import composition, partition, transpose
 from weylhom.specht import specht_rep, standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
 from weylhom.weyl import get_context, realize
@@ -154,14 +155,6 @@ def dp_mult(m1: Monomial, m2: Monomial, p: int) -> tuple[int, Monomial]:
                 return 0, ()
         counts[e] = have + c
     return coeff, tuple(sorted(counts.items()))
-
-
-def transpose(lam) -> tuple[int, ...]:
-    """Column lengths of the diagram: transpose(lam)[j] = #{i : lam_i >= j+1}."""
-    lam = partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part >= j) for j in range(1, lam[0] + 1))
 
 
 def dominates(mu, lam) -> bool:

@@ -368,6 +368,30 @@ except FirstRowTooLargeError as exc:
     assert proc.stdout == "k*p^d = 1*3^100000000000 is too large: a first row would exceed 4300 digits\n"
 
 
+def test_import_loads_no_dataclasses():
+    # the result types are NamedTuples, so importing the package loads
+    # neither dataclasses nor the inspect, ast, dis and tokenize behind it
+    script = """
+import sys
+import weylhom
+print("dataclasses" in sys.modules)
+"""
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_results_are_named_tuples():
+    # same fields, in the same order, with the same repr and properties
+    h = hom_dim((2, 1), (3,), 3)[1][0]
+    assert h == ((2, 1), (3,), 3, (1,)) and h._fields == ("lam", "mu", "p", "coeffs")
+    assert repr(h) == "HomElement(lam=(2, 1), mu=(3,), p=3, coeffs=(1,))"
+    rep = verify_stabilization((3, 1), (4,), 3, 1, 2)
+    assert isinstance(rep, tuple) and rep._fields[:3] == ("p", "k", "d")
+    assert rep._fields[-2:] == ("transport_in_kernel", "correspondence_verified")
+    assert rep.hypotheses_hold and not rep.theorem_violated
+
+
 def test_verify_stabilization_hypotheses_hold():
     rep = verify_stabilization((3, 1), (4,), 3, 1, 2)
     assert rep.hyp_power and rep.hyp_overlap

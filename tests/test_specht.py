@@ -335,6 +335,31 @@ def test_hom_dim_matches_full_intertwiner_system(p):
                 assert specht_hom_dim(nu, nu_prime, p) == expected, (nu, nu_prime, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_orientation_choice_keeps_the_dimension(p, monkeypatch):
+    # every ordered pair of degree <= 6: the dimension in the orientation
+    # specht_hom_dim picks equals the one solved in the given orientation
+    # (James, LNM 682, Thm 8.15); p = 2 lies outside the SPECHT_HOM digest
+    pairs = [(nu, nu2) for r in range(0, 7) for nu in all_partitions(r) for nu2 in all_partitions(r)]
+    assert len(pairs) == 210
+    chosen = [specht_hom_dim(nu, nu2, p) for nu, nu2 in pairs]
+    flipped = sum(specht._oriented(nu, nu2) != (nu, nu2) for nu, nu2 in pairs)
+    monkeypatch.setattr(specht, "_oriented", lambda nu, nu2: (nu, nu2))
+    assert chosen == [specht_hom_dim(nu, nu2, p) for nu, nu2 in pairs]
+    assert flipped > 0
+
+
+def test_orientation_choice_takes_the_smaller_polytabloids():
+    assert specht._polytabloid_size((1,) * 7) == 5040
+    assert specht._polytabloid_size((4, 2, 1)) == 12
+    # 5,040 + 720 terms against 1 + 2: transposed
+    assert specht._oriented((1,) * 7, (2, 1, 1, 1, 1, 1)) == ((6, 1), (7,))
+    # 24 + 12 against 24 + 48: kept
+    assert specht._oriented((4, 1, 1, 1), (4, 2, 1)) == ((4, 1, 1, 1), (4, 2, 1))
+    # a tie keeps the given pair
+    assert specht._oriented((2, 1), (2, 1)) == ((2, 1), (2, 1))
+
+
 def test_spanning_tree_reaches_every_standard_tableau():
     # every shape of degree <= 8 (at p = 2, where same-column moves are
     # diagonal units and must not be taken): the tree reaches every
