@@ -2,17 +2,18 @@
 
 Everything is integer arithmetic on residues in [0, p).  No floats, no
 probabilistic shortcuts: ranks and kernels are exact.  An `Echelon` keeps
-the reduced echelon form of a matrix that grows by batches of rows, reduced
-after every batch; the form depends only on the row space and not on the
-order or batching of the rows, so bases are reproducible across runs.  Each
-row is reduced once at every pivot column it holds, so the arithmetic
-follows the nonzeros, not rank^2.  After any batch it names the support of
-the kernel, the columns some kernel vector is nonzero on: a caller that
-streams equations in can leave the other columns out of later rows, since
-every solution is 0 there.  A linear system is solved by reading the kernel
-of its augmented matrix.  A basis that is already unitriangular (each
-element has its own lowest key, with coefficient 1) needs no elimination at
-all: `reduce_lowest` solves against it term by term.
+the reduced echelon form of a matrix that grows by batches of rows, brought
+up to date in two passes over every batch; the form depends only on the
+row space and not on the order or batching of the rows, so bases are
+reproducible across runs.  Each row is reduced once at every pivot column
+it holds, so the arithmetic follows the nonzeros, not rank^2.  After any
+batch it names the support of the kernel, the columns some kernel vector
+is nonzero on: a caller that streams equations in can leave the other
+columns out of later rows, since every solution is 0 there.  A linear
+system is solved by reading the kernel of its augmented matrix.  A basis
+that is already unitriangular (each element has its own lowest key, with
+coefficient 1) needs no elimination at all: `reduce_lowest` solves against
+it term by term.
 """
 
 from __future__ import annotations
@@ -166,26 +167,24 @@ class Echelon:
     It depends only on the row space, so the order and batching of the rows
     change its cost, never its result.  `Echelon(matrix)` absorbs the
     matrix's rows as one batch; `absorb` appends more rows to the matrix and
-    brings the form up to date.  A batch works in three passes:
+    brings the form up to date.  A batch works in two passes:
 
     * each row is reduced at every pivot column it holds; a pivot row
       holds no other pivot column, so one pass leaves the row with free
       columns only, and a row in the span of the pivots leaves nothing;
     * the rows left are taken in descending order of their lowest column
-      (shorter first among ties), each reduced at the new pivots it holds
-      and stored under its lowest column, scaled to a unit lead.  The new
-      pivot rows taken before it hold no column below their own leads,
-      which are at or above the row's lowest column; so when that column
-      survives the reduction no new pivot row holds it, and only a row
-      whose lowest column was cleared is subtracted from the new rows that
-      hold its lead;
-    * the older pivot rows are reduced once at each new pivot column they
-      hold; the new rows hold no pivot column but their own lead, so this
-      brings in only free columns and nothing cascades.
+      (shorter first among ties).  Each is reduced at every pivot column
+      it now holds, old or new, scaled to a unit lead, subtracted from
+      every pivot row that holds its lead and stored under that lead; it
+      holds no other pivot column, so the form stays reduced and nothing
+      cascades.  In this order the new pivot rows taken before a row hold
+      no column below their own leads, which are at or above the row's
+      lowest column, so they hold its lead only when that column was
+      cleared.
 
     The arithmetic follows the nonzeros of the rows involved; finding the
-    older rows that hold a new pivot column takes one membership test per
-    older row.
+    pivot rows that hold a new lead takes one membership test per pivot
+    row.
     """
 
     def __init__(self, matrix: MatrixGFp):
@@ -213,26 +212,18 @@ class Echelon:
             if row:
                 pending.append((-min(row), len(row), row))
         pending.sort(key=lambda entry: entry[:2])
-        new: dict[int, dict[int, int]] = {}
-        for low, _, row in pending:
-            for col in [j for j in row if j in new]:
-                add_scaled(row, -row[col], new[col], p)
+        for _, _, row in pending:
+            for col in [j for j in row if j in pivots]:
+                add_scaled(row, -row[col], pivots[col], p)
             if not row:
                 continue
             lead = min(row)
             inv = pow(row[lead], -1, p)
             if inv != 1:
                 row = {j: c * inv % p for j, c in row.items()}
-            if lead != -low:
-                for other in new.values():
-                    c = other.get(lead)
-                    if c:
-                        add_scaled(other, -c, row, p)
-            new[lead] = row
-        for lead, pivot in new.items():
-            for row in [row for row in pivots.values() if lead in row]:
-                add_scaled(row, -row[lead], pivot, p)
-        pivots.update(new)
+            for other in [other for other in pivots.values() if lead in other]:
+                add_scaled(other, -other[lead], row, p)
+            pivots[lead] = row
 
     def support(self) -> list[int]:
         """The columns where some kernel vector is nonzero, ascending: the free

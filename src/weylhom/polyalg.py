@@ -1,5 +1,5 @@
 """Divided-power monomials and tensors, comultiplication, and the exterior
-realization map sending a shape-mu tensor into the column wedge space.
+realization map sending a tableau of shape mu into the column wedge space.
 A realization is symmetric under permuting columns of equal height, so it
 is returned on the representatives of that symmetry only (see `dprime`).
 
@@ -101,12 +101,13 @@ def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
     return [slots for slots, _ in splits]
 
 
-def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial, int]:
-    """Exterior realization of a shape-`shape` tensor of monomials, kept on
-    the representatives of its column symmetry.
+def dprime(tab, p: int, limit: int | None = None) -> dict[ExtMonomial, int]:
+    """Exterior realization of the class of the `Tableau` tab, kept on the
+    representatives of its column symmetry.
 
-    Row i's entries are dealt into columns 1..shape[i], one per column, over
-    all distinct arrangements.  Each column wedges its cells top to bottom:
+    The shape is tab's, and row i's entries are read off its count row.
+    They are dealt into columns 1..shape[i], one per column, over all
+    distinct arrangements.  Each column wedges its cells top to bottom:
     an entry it already holds is skipped (the wedge is zero), and an entry
     inserted below k larger ones flips the sign k times.  Two columns of
     equal height are covered by the same rows, so swapping them maps a
@@ -128,18 +129,10 @@ def dprime(shape, factors, p: int, limit: int | None = None) -> dict[ExtMonomial
     too, before it cancels.  ExpansionLimitError is raised once it is
     passed.
     """
-    shape = tuple(shape)
-    factors = tuple(mono(f) for f in factors)
-    if len(factors) != len(shape):
-        raise ValueError(f"tensor has {len(factors)} factors for shape {shape}")
-    for mu_i, f in zip(shape, factors):
-        if mono_degree(f) != mu_i:
-            raise ValueError(f"factor {f} does not have degree {mu_i}")
-    if any(a < b for a, b in zip(shape, shape[1:])):
-        raise ValueError(f"shape {shape} is not weakly decreasing")
+    shape = tab.shape
     budget = math.inf if limit is None else limit
     acc: dict[ExtMonomial, int] = {}
-    left = [dict(f) for f in factors]
+    left = [{e: c for e, c in enumerate(row, 1) if c} for row in tab]
     row1 = left[0] if left else {}
     # the heights of the columns that are dealt: those of height >= 2
     dealt = shape[1] if len(shape) > 1 else 0

@@ -88,22 +88,20 @@ def stabilize(lam, k: int, d: int, p: int) -> tuple[int, ...]:
 
 
 def all_partitions(r: int) -> list[tuple[int, ...]]:
-    """All partitions of r in descending lexicographic order."""
+    """All partitions of r in descending lexicographic order.  The prefixes
+    are extended one part value at a time, from r down to 2: a prefix with
+    `left` to place takes v as many times as fits, then one time fewer,
+    down to none, so more copies of v come first; the 1s fill what is left."""
     if r < 0:
         raise ValueError("negative degree")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(r, r, [])
-    return out
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), r)]
+    for v in range(r, 1, -1):
+        prefixes = [
+            (prefix + (v,) * m, left - v * m)
+            for prefix, left in prefixes
+            for m in range(left // v, -1, -1)
+        ]
+    return [prefix + (1,) * left for prefix, left in prefixes]
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
@@ -121,7 +119,10 @@ def parse_partition(text: str) -> tuple[int, ...]:
                 raise ValueError(f"bad repetition {piece!r} at position {pos}") from None
             if reps < 0:
                 raise ValueError(f"negative repetition at position {pos}")
-            parts.extend([value] * reps)
+            try:
+                parts.extend([value] * reps)
+            except OverflowError:
+                raise ValueError(f"repetition {piece!r} at position {pos} is too large") from None
         else:
             try:
                 parts.append(int(piece))

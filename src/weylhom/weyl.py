@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from . import config
 from .gfp import InconsistentSystemError, add_scaled, binom_mod, check_prime, reduce_lowest
-from .polyalg import ExpansionLimitError, bounded_compositions, dprime, mono
+from .polyalg import ExpansionLimitError, bounded_compositions, dprime
 from .shapes import integer, partition
 from .tableaux import Tableau, enumerate_standard
 
@@ -167,7 +167,7 @@ class WeylContext:
         self.fallback_solves += 1
         try:
             basis = self._standard_basis(tab.weight)
-            image = realize(self.mu, tab, self.p)
+            image = dprime(tab, self.p, config.expansion_limit())
         except ExpansionLimitError as exc:
             raise ExpansionLimitError(
                 f"straightening {tab.render()} in shape {self.mu} needs an exterior "
@@ -191,7 +191,7 @@ class WeylContext:
             keys: dict = {}
             basis = {}
             for std in enumerate_standard(self.mu, alpha):
-                image = realize(self.mu, std, self.p)
+                image = dprime(std, self.p, config.expansion_limit())
                 image = {keys.setdefault(k, k): v for k, v in image.items()}
                 lead = min(image, default=None)
                 if lead != column_word(std) or image[lead] != 1:
@@ -219,15 +219,6 @@ def straighten(mu, tab: Tableau, coeff: int, p: int) -> dict[Tableau, int]:
     """Standard-basis coordinates of coeff * [tab] in Delta(mu), as a new dict;
     ValueError on a coefficient that is not an integer."""
     return get_context(mu, p).straighten_terms([(integer(coeff, "coefficient"), tab)])
-
-
-def realize(mu, tab: Tableau, p: int) -> dict:
-    """Exterior realization of the class [tab] of shape mu, on the
-    representatives of its column symmetry, within the term budget
-    WEYLHOM_EXPANSION_LIMIT on the partial dealings it steps through
-    (ExpansionLimitError beyond it)."""
-    factors = [mono({j + 1: c for j, c in enumerate(row)}) for row in tab]
-    return dprime(mu, factors, p, limit=config.expansion_limit())
 
 
 def column_word(tab: Tableau) -> tuple[tuple[int, ...], ...]:

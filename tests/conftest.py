@@ -63,13 +63,14 @@ from weylhom.polyalg import (
     ExtMonomial,
     Monomial,
     dp_comult,
+    dprime,
     mono,
     mono_degree,
 )
 from weylhom.shapes import composition, partition, transpose
 from weylhom.specht import specht_rep, standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
-from weylhom.weyl import get_context, realize
+from weylhom.weyl import get_context
 
 
 def run_python(args, str_digits=None) -> subprocess.CompletedProcess:
@@ -381,7 +382,7 @@ def standard_image_matrix(mu, alpha, p: int) -> MatrixGFp:
     weight alpha: one column per tableau over a shared row index of exterior
     monomials (sorted), full column rank."""
     mu = partition(mu)
-    images = [realize(mu, t, p) for t in enumerate_standard(mu, alpha)]
+    images = [dprime(t, p) for t in enumerate_standard(mu, alpha)]
     keys = sorted({k for img in images for k in img})
     index = {k: i for i, k in enumerate(keys)}
     matrix = MatrixGFp(len(keys), len(images), p)

@@ -125,6 +125,12 @@ def test_invalid_inputs_exit_one(capsys):
     assert code == 1 and "position" in err
     code, out, err = run(capsys, "dim", "-p", "3", "--lambda", "2", "--mu", "3")
     assert code == 1 and "degree mismatch" in err
+    # a repetition count past the index range: one line, no traceback
+    code, out, err = run(capsys, "dim", "-p", "3", "--lambda", "1^99999999999999999999", "--mu", "2")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: bad partition: repetition '1^99999999999999999999' at position 0 is too large\n"
+    )
     code, out, err = run(capsys, "nonsense")
     assert code == 1
 

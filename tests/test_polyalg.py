@@ -11,6 +11,7 @@ from conftest import (
     dp_mult,
     is_representative,
     orbit_expansion,
+    tableau_monomials,
     tensor_expansion_count,
 )
 from weylhom.polyalg import (
@@ -21,6 +22,7 @@ from weylhom.polyalg import (
     mono,
     mono_degree,
 )
+from weylhom.tableaux import Tableau
 
 
 def test_mono_canonical():
@@ -149,13 +151,13 @@ def test_hopf_compatibility_mult_of_comult():
 def test_dprime_examples():
     p = 5
     # unique distribution, both columns sorted
-    v = dprime((2, 2), [mono({1: 2}), mono({2: 2})], p)
+    v = dprime(Tableau([(2,), (0, 2)]), p)
     assert v == {((1, 2), (1, 2)): 1}
     # 12 (x) 12: two surviving distributions, each with sign -1
-    v = dprime((2, 2), [mono({1: 1, 2: 1}), mono({1: 1, 2: 1})], p)
+    v = dprime(Tableau([(1, 1), (1, 1)]), p)
     assert v == {((1, 2), (1, 2)): (-2) % p}
     # repeated entry in a height-2 column
-    assert dprime((1, 1), [mono({1: 1}), mono({1: 1})], p) == {}
+    assert dprime(Tableau([(1,), (1,)]), p) == {}
 
 
 def _dprime_bruteforce(shape, factors, p):
@@ -184,42 +186,51 @@ def test_dprime_matches_brute_force_dealing():
     from weylhom.shapes import all_partitions
 
     rng = random.Random(4)
-    cases = [((), []), ((2, 0, 0), [mono({1: 1, 2: 1}), (), ()])]
+    # the trailing empty rows of [(1, 1), (), ()] are dropped: shape (2,)
+    cases = [Tableau(()), Tableau([(1, 1), (), ()])]
     for r in range(1, 7):
         for shape in all_partitions(r):
             for _ in range(3):
-                factors = [mono(Counter(rng.randrange(1, 5) for _ in range(w))) for w in shape]
-                cases.append((shape, factors))
-    for shape, factors in cases:
+                rows = [Counter(rng.randrange(1, 5) for _ in range(w)) for w in shape]
+                cases.append(Tableau([[row[e] for e in range(1, 5)] for row in rows]))
+    for tab in cases:
+        shape = tab.shape
         for p in (2, 3, 5):
-            expected = _dprime_bruteforce(shape, factors, p)
-            got = dprime(shape, factors, p)
-            assert all(is_representative(shape, key) for key in got), (shape, factors, p)
-            assert orbit_expansion(shape, got) == expected, (shape, factors, p)
+            expected = _dprime_bruteforce(shape, tableau_monomials(tab), p)
+            got = dprime(tab, p)
+            assert all(is_representative(shape, key) for key in got), (tab, p)
+            assert orbit_expansion(shape, got) == expected, (tab, p)
     # the two height-1 columns form one block: only its sorted order is kept
-    assert dprime((2, 0, 0), cases[1][1], 3) == {((1,), (2,)): 1}
+    assert dprime(cases[1], 3) == {((1,), (2,)): 1}
 
 
 def test_dprime_shape_validation():
-    with pytest.raises(ValueError):
-        dprime((2, 1), [mono({1: 2})], 3)
-    with pytest.raises(ValueError):
-        dprime((2,), [mono({1: 1})], 3)
+    # dprime reads the shape off the tableau, so no factor can miss it: a
+    # key has one column per box of row 1, column j as tall as the shape's
+    # column j
+    from weylhom.shapes import all_partitions, transpose
+
+    for r in range(1, 7):
+        for mu in all_partitions(r):
+            tab = Tableau([[0] * i + [w] for i, w in enumerate(mu)])
+            (key,) = dprime(tab, 3)
+            assert tuple(map(len, key)) == transpose(mu), mu
 
 
 def test_dprime_needs_a_weakly_decreasing_shape():
-    # the column blocks are read off a partition; trailing zero rows are fine
-    with pytest.raises(ValueError, match="not weakly decreasing"):
-        dprime((1, 2), [mono({1: 1}), mono({2: 2})], 3)
-    with pytest.raises(ValueError, match="not weakly decreasing"):
-        dprime((2, 0, 1), [mono({1: 2}), (), mono({2: 1})], 3)
-    assert dprime((1, 1, 0), [mono({1: 1}), mono({2: 1}), ()], 3) == {((1, 2),): 1}
+    # the column blocks are read off a partition, and Tableau refuses rows
+    # whose sums are not one: increasing sums in test_tableaux.py::
+    # test_counts_canonicalization, an empty row above a filled one here;
+    # trailing empty rows are dropped
+    with pytest.raises(ValueError, match="not a partition shape"):
+        Tableau([(2,), (), (0, 1)])
+    assert dprime(Tableau([(1,), (0, 1), ()]), 3) == {((1, 2),): 1}
 
 
 def test_dprime_depth_does_not_grow_with_the_width():
     # 960 cells in 480 columns of height 2: the dealing recurses only down
     # a column, so the default recursion limit is far away
-    v = dprime((480, 480), [mono({1: 480}), mono({2: 480})], 3)
+    v = dprime(Tableau([(480,), (0, 480)]), 3)
     assert v == {((1, 2),) * 480: 1}
 
 
@@ -232,20 +243,17 @@ def test_dprime_standard_classes_are_nonzero():
         for mu in shapes:
             for alpha in shapes:
                 for t in enumerate_standard(mu, alpha):
-                    factors = [
-                        mono({j + 1: c for j, c in enumerate(row)}) for row in t.counts
-                    ]
-                    assert dprime(mu, factors, 3), t.render()
+                    assert dprime(t, 3), t.render()
 
 
 def test_dprime_deterministic_and_reduces_mod_p():
-    factors = [mono({1: 1, 2: 2}), mono({2: 1, 3: 1})]
-    a = dprime((3, 2), factors, 7)
-    b = dprime((3, 2), factors, 7)
+    tab = Tableau([(1, 2), (0, 1, 1)])
+    a = dprime(tab, 7)
+    b = dprime(tab, 7)
     assert a == b
     # the coefficients are integers reduced mod p, so a larger prime sees them
     # exactly and reduces to the p = 7 vector
-    wide = dprime((3, 2), factors, 101)
+    wide = dprime(tab, 101)
     assert a == {k: v % 7 for k, v in wide.items() if v % 7}
 
 
@@ -253,9 +261,9 @@ def test_expansion_count_and_limit():
     # the budget counts the partial dealings dprime steps through, not the
     # full dealing over every column order: here the empty dealing, four
     # ways to deal column 1 and four to deal both, onto three monomials
-    factors = [mono({1: 1, 2: 1, 3: 1}), mono({1: 1, 2: 1})]
-    assert tensor_expansion_count((3, 2), factors) == 12
+    tab = Tableau([(1, 1, 1), (1, 1)])
+    assert tensor_expansion_count((3, 2), tableau_monomials(tab)) == 12
     with pytest.raises(ExpansionLimitError):
-        dprime((3, 2), factors, 3, limit=8)
-    assert dprime((3, 2), factors, 3, limit=9) == dprime((3, 2), factors, 3)
-    assert len(dprime((3, 2), factors, 3)) == 3
+        dprime(tab, 3, limit=8)
+    assert dprime(tab, 3, limit=9) == dprime(tab, 3)
+    assert len(dprime(tab, 3)) == 3

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dominates, transpose, weyl_dimension
+from conftest import compositions_of, dominates, transpose, weyl_dimension
 from weylhom import hom_dim, phi_eval_terms, specht_hom_dim, straighten, verify_stabilization
 from weylhom.gfp import NonPrimeModulusError
 from weylhom.shapes import (
@@ -204,6 +204,11 @@ def test_all_partitions_counts():
     counts = [len(all_partitions(r)) for r in range(9)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
     assert all_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    # every partition once, in descending lexicographic order: the sorted
+    # parts of every composition of r into r entries, zeros dropped
+    for r in range(11):
+        brute = {tuple(sorted(filter(None, c), reverse=True)) for c in compositions_of(r, r)}
+        assert all_partitions(r) == sorted(brute, reverse=True), r
 
 
 def test_weyl_dimension_small():
@@ -228,6 +233,9 @@ def test_parse_partition():
         parse_partition("x")
     with pytest.raises(ValueError):
         parse_partition("1,3")  # increasing
+    # a count past the index range is refused like any other bad repetition
+    with pytest.raises(ValueError, match=r"repetition '1\^99999999999999999999' at position 1 is too large"):
+        parse_partition("2,1^99999999999999999999")
 
 
 def test_format_roundtrip():

@@ -20,10 +20,10 @@ from conftest import (
 import weylhom.weyl as weyl
 from weylhom.gfp import Echelon, InconsistentSystemError
 from weylhom.homspace import relation_matrix
-from weylhom.polyalg import ExpansionLimitError, mono
+from weylhom.polyalg import ExpansionLimitError, dprime, mono
 from weylhom.shapes import all_partitions, composition
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
-from weylhom.weyl import WeylContext, column_word, get_context, realize, straighten
+from weylhom.weyl import WeylContext, column_word, get_context, straighten
 
 
 def test_relation_generators_two_rows():
@@ -162,9 +162,9 @@ def test_standard_image_full_rank_sweep():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_standard_images_have_unit_lowest_terms(p):
-    # the lowest exterior monomial of realize(S) is the column word of S,
+    # the lowest exterior monomial of dprime(S) is the column word of S,
     # with coefficient 1, for every standard S of degree <= 6 and every
-    # weight of at most 6 parts; and realize(S), expanded over the column
+    # weight of at most 6 parts; and dprime(S), expanded over the column
     # orders within each block, is the full dealing
     checked = 0
     for r in range(0, 7):
@@ -172,7 +172,7 @@ def test_standard_images_have_unit_lowest_terms(p):
         for mu in all_partitions(r):
             for alpha in sorted(weights):
                 for std in enumerate_standard(mu, alpha):
-                    image = realize(mu, std, p)
+                    image = dprime(std, p)
                     lead = column_word(std)
                     assert min(image) == lead and image[lead] == 1, (mu, std.render())
                     full = reference_dprime(mu, tableau_monomials(std), p)
@@ -216,10 +216,8 @@ def test_lowest_term_solve_matches_reference(monkeypatch, p):
 def test_broken_standard_image_lead_is_caught(monkeypatch, scale):
     # a standard image whose lowest term is lost (scale 0) or is no longer a
     # unit (scale 2) must stop the weight space before anything is solved
-    real = weyl.realize
-
-    def broken(mu, tab, p):
-        image = real(mu, tab, p)
+    def broken(tab, p, limit=None):
+        image = dprime(tab, p, limit)
         if tab.is_standard():
             lead = min(image)
             image = dict(image)
@@ -227,7 +225,7 @@ def test_broken_standard_image_lead_is_caught(monkeypatch, scale):
             image = {k: v for k, v in image.items() if v}
         return image
 
-    monkeypatch.setattr(weyl, "realize", broken)
+    monkeypatch.setattr(weyl, "dprime", broken)
     # a three-row shape below the class-A regime is forced onto the solve path
     tab = from_row_entries([[2, 3], [1, 3], [1, 2]])
     with pytest.raises(InconsistentSystemError, match="unit lowest term"):
