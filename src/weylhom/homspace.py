@@ -22,6 +22,13 @@ is exact: every vector of the kernel so far is 0 off its support, so a row
 cut to the support cuts the same vectors out of it as the whole row does.
 The final kernel is therefore the kernel of `relation_matrix`, and since
 the reduced form depends only on the row space, so is its basis.
+
+Most images are already standard, and a standard tableau is its own
+straightening, so those go into a generator's block as they are; only the
+other images reach the straightening context.  The test needs no full
+standardness check: T is standard, and an image only moves entries i+1 to
+i within their rows, which changes each moved row's count of entries <= i
+and nothing else that column strictness compares (see `_split_standard`).
 """
 
 from __future__ import annotations
@@ -58,7 +65,10 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     order of (s_r); those whose coefficient vanishes mod p are dropped.
     """
     check_prime(p)
-    i, t = integer(i, "generator index"), integer(t, "generator degree")
+    if type(i) is not int:
+        i = integer(i, "generator index")
+    if type(t) is not int:
+        t = integer(t, "generator degree")
     width = tab.width
     if not 1 <= i < width:
         raise ValueError(f"generator index {i} outside 1..{width - 1}")
@@ -72,16 +82,19 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     rows = [row[:trim] for row in tab]
     slots = [r for r, c in enumerate(caps) if c]
     terms: list[tuple[int, Tableau]] = []
-    for comp in bounded_compositions(t, caps):
+    # a full column moves every i+1: caps is the one composition
+    for comp in [caps] if t == room else bounded_compositions(t, caps):
         coeff = 1
         for r in slots:
             row = tab[r]
             s = comp[r]
             if s:
-                coeff = coeff * binom_mod(row[i - 1] + s, s, p) % p
+                a = row[i - 1]
+                # C(a + 1, 1) = a + 1
+                coeff = coeff * (a + 1 if s == 1 else binom_mod(a + s, s, p)) % p
                 if not coeff:
                     break
-                row = row[: i - 1] + (row[i - 1] + s, row[i] - s) + row[i + 1 :]
+                row = row[: i - 1] + (a + s, row[i] - s) + row[i + 1 :]
             rows[r] = row[:trim]
         else:
             terms.append((coeff, Tableau._of(tuple(rows))))
@@ -98,14 +111,57 @@ def _generators(lam, p: int):
             t *= p
 
 
+def _split_standard(tab: Tableau, i: int, terms):
+    """Split the images (coeff, S) of phi_tab(x_{i,t}), for a standard tab,
+    into the standard ones and the rest: two lists in the order of terms.
+
+    S moves some of row r's entries i+1 to i, which changes only that row's
+    count of entries <= i, and only upward.  So S is standard exactly when
+    every row r >= 2 holding an i+1 has no more entries <= i than row r-1
+    has entries < i.  No move changes l_r, the entries < i of row r, so
+    that says row r of S holds at most l_{r-1} - l_r entries i.  Rows below
+    row i+1 of a standard tab hold no i+1.  The cost is one comparison per
+    such row and image; no standardness check runs.
+    """
+    bounds = []
+    for r in range(1, min(len(tab), i + 1)):
+        if tab[r][i]:
+            bounds.append((r, sum(tab[r - 1][: i - 1]) - sum(tab[r][: i - 1])))
+    if not bounds:
+        return terms, []
+    standard, rest = [], []
+    for term in terms:
+        image = term[1]
+        for r, bound in bounds:
+            if image[r][i - 1] > bound:
+                rest.append(term)
+                break
+        else:
+            standard.append(term)
+    return standard, rest
+
+
 def _generator_rows(ctx, std, cols, i: int, t: int, p: int) -> list[dict[int, int]]:
     """The block of x_{i,t}: one row per standard tableau that some image
     phi_T(x_{i,t}), T = std[col] for col in cols, reaches, in order of that
-    tableau, holding the straightened coordinates of the images."""
+    tableau, holding the straightened coordinates of the images.
+
+    A standard image is its own straightening, so it goes into the block as
+    it is; only the other images of T go to the context, in one call.  The
+    test (`_split_standard`) is exact, so the block is the one that
+    straightening every image gives."""
     block: dict[Tableau, dict[int, int]] = {}
     for col in cols:
-        coords = ctx.straighten_terms(phi_eval_terms(std[col], i, t, p))
-        for s, v in coords.items():
+        tab = std[col]
+        terms = phi_eval_terms(tab, i, t, p)
+        if not terms:
+            continue
+        standard, rest = _split_standard(tab, i, terms)
+        if rest:
+            coords = ctx.straighten_terms(rest)
+            add_scaled(coords, 1, {s: v for v, s in standard}, p)
+            standard = [(v, s) for s, v in coords.items()]
+        for v, s in standard:
             block.setdefault(s, {})[col] = v
     return [block[s] for s in sorted(block)]
 

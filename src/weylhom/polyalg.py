@@ -45,18 +45,22 @@ def bounded_compositions(total: int, caps) -> list[tuple[int, ...]]:
     are extended left to right: a prefix with `left` to place takes each v
     from max(0, left - room) to min(cap, left), `room` being the caps of
     the open slots after it; the last takes what is left, so one open slot
-    is never stepped.  A total of 0 or of sum(caps) returns at once."""
+    is never stepped.  A total of 0, 1 or sum(caps) returns at once: a total
+    of 1 gives the unit vectors of the open slots, last slot first."""
     caps = tuple(caps)
     if caps and min(caps) < 0:
         return []
+    n = len(caps)
+    zero = (0,) * n
+    if total == 1:
+        return [zero[:j] + (1,) + zero[j + 1 :] for j in range(n - 1, -1, -1) if caps[j]]
     room = sum(caps)
     if not 0 <= total <= room:
         return []
     if total == room:
         return [caps]
-    n = len(caps)
     if total == 0:
-        return [(0,) * n]
+        return [zero]
     slots = [j for j, cap in enumerate(caps) if cap]
     comps: list[tuple[tuple[int, ...], int]] = [((), total)]
     end = 0

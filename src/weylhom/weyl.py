@@ -34,6 +34,10 @@ A column word of a standard tableau is such a monomial, since its columns
 increase entrywise left to right, so it is still the unit lowest term; a
 reduction that ends at zero on the representatives ends at zero on the
 full vectors, and the unit-lead check means what it meant before.
+
+A context's caches hold only the tableaux that reached it.  The relation
+blocks (`homspace._generator_rows`) hand it only the images that are not
+standard, so the standard images, most of them, are never cached here.
 """
 
 from __future__ import annotations

@@ -457,6 +457,16 @@ def reference_relation_matrix(lam, mu, p: int, keep=lambda t: True) -> MatrixGFp
     return MatrixGFp(len(rows), len(std), p, rows)
 
 
+def reference_generator_rows(ctx, std, cols, i: int, t: int, p: int) -> list[dict[int, int]]:
+    """The block of x_{i,t} with every image straightened by the context,
+    standard or not: one row per target standard tableau, in its order."""
+    block: dict[Tableau, dict[int, int]] = {}
+    for col in cols:
+        for s, v in ctx.straighten_terms(phi_eval_terms(std[col], i, t, p)).items():
+            block.setdefault(s, {})[col] = v
+    return [block[s] for s in sorted(block)]
+
+
 def reference_phi_terms(tab: Tableau, factors, p: int) -> list[tuple[int, Tableau]]:
     """Raw image of a tensor under phi_tab, before straightening.
 

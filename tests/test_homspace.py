@@ -8,6 +8,7 @@ from conftest import (
     generator_tensor,
     generator_weight,
     is_power,
+    reference_generator_rows,
     reference_phi_terms,
     reference_relation_matrix,
     relation_generators,
@@ -16,7 +17,10 @@ from conftest import (
 from weylhom.gfp import binom_mod
 from weylhom.homspace import (
     HomElement,
+    _generator_rows,
+    _generators,
     _power_exceeds,
+    _split_standard,
     hom_dim,
     phi_eval_terms,
     relation_matrix,
@@ -173,6 +177,57 @@ def test_phi_eval_trims_emptied_last_column():
     assert terms == [(3, Tableau(((3,),)))]
     assert terms[0][1].width == 1
     assert_canonical(terms[0][1])
+
+
+def test_split_standard_agrees_with_is_standard():
+    # every image of every standard T of degree <= 7 under every x_{i,t},
+    # t = 0..lambda_{i+1} (so also the trimmed last column), is put on the
+    # side that Tableau.is_standard names, in the order of the images
+    seen = {True: 0, False: 0}
+    for r in range(1, 8):
+        shapes = all_partitions(r)
+        for lam in shapes:
+            for mu in shapes:
+                for T in enumerate_standard(mu, lam):
+                    for i in range(1, len(lam)):
+                        for t in range(lam[i] + 1):
+                            for p in (2, 3, 5):
+                                terms = phi_eval_terms(T, i, t, p)
+                                standard, rest = _split_standard(T, i, terms)
+                                verdicts = [tab.is_standard() for _, tab in terms]
+                                assert standard == [x for x, ok in zip(terms, verdicts) if ok]
+                                assert rest == [x for x, ok in zip(terms, verdicts) if not ok]
+                                seen[True] += len(standard)
+                                seen[False] += len(rest)
+    assert seen == {True: 17746, False: 3684}
+
+
+def test_generator_rows_match_straightening_every_image():
+    # standard images skip the context; the blocks must still be those of
+    # straightening every image, row for row and entry for entry
+    split = 0
+    for r in range(1, 7):
+        shapes = all_partitions(r)
+        for p in (2, 3, 5):
+            for lam in shapes:
+                for mu in shapes:
+                    std = enumerate_standard(mu, lam)
+                    if not std:
+                        continue
+                    ctx = get_context(mu, p)
+                    cols = range(len(std))
+                    for i, t in _generators(lam, p):
+                        got = _generator_rows(ctx, std, cols, i, t, p)
+                        want = reference_generator_rows(ctx, std, cols, i, t, p)
+                        assert [list(row.items()) for row in got] == [
+                            list(row.items()) for row in want
+                        ], (lam, mu, p, i, t)
+                        split += any(
+                            _split_standard(std[c], i, phi_eval_terms(std[c], i, t, p))[1]
+                            for c in cols
+                        )
+    # blocks that mix standard and straightened images
+    assert split
 
 
 def test_relation_matrix_examples():
