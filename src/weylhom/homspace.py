@@ -25,10 +25,11 @@ the reduced form depends only on the row space, so is its basis.
 
 Most images are already standard, and a standard tableau is its own
 straightening, so those go into a generator's block as they are; only the
-other images reach the straightening context.  The test needs no full
-standardness check: T is standard, and an image only moves entries i+1 to
-i within their rows, which changes each moved row's count of entries <= i
-and nothing else that column strictness compares (see `_split_standard`).
+other images reach the straightening context, which does not test them
+again.  The test needs no full standardness check: T is standard, and an
+image only moves entries i+1 to i within their rows, which changes each
+moved row's count of entries <= i and nothing else that column strictness
+compares (see `_split_standard`).
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     s_r <= a_{r,i+1}, and the divided powers of i in row r multiply to the
     coefficient C(a_{r,i} + s_r, s_r).  Terms are in ascending lexicographic
     order of (s_r); those whose coefficient vanishes mod p are dropped.
+
+    t = 1 gives the unit moves, one per row holding an i+1, last row first,
+    with coefficient a_{r,i} + 1: each image is tab with the one row it
+    changes replaced, and no composition is walked.  Otherwise the rows
+    without an i+1 are shared by every term, and only the moved ones are
+    rebuilt.
     """
     check_prime(p)
     if type(i) is not int:
@@ -78,10 +85,21 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
         raise ValueError(f"generator x_({i},{t}) needs 0 <= t <= {room}")
     # moving every entry of the last column empties it; each term drops it
     trim = width - 1 if i == width - 1 and t == room else None
-    # rows without an i+1 are the same in every term
-    rows = [row[:trim] for row in tab]
     slots = [r for r, c in enumerate(caps) if c]
     terms: list[tuple[int, Tableau]] = []
+    # the unit moves, last row first: each replaces the one row it changes
+    # (emptying the last column trims every row, so that is left to the loop)
+    if t == 1 and trim is None:
+        for r in reversed(slots):
+            row = tab[r]
+            a = row[i - 1] + 1
+            coeff = a % p  # C(a, 1) = a
+            if coeff:
+                row = row[: i - 1] + (a, row[i] - 1) + row[i + 1 :]
+                terms.append((coeff, Tableau._of(tab[:r] + (row,) + tab[r + 1 :])))
+        return terms
+    # rows without an i+1 are the same in every term
+    rows = [row[:trim] for row in tab]
     # a full column moves every i+1: caps is the one composition
     for comp in [caps] if t == room else bounded_compositions(t, caps):
         coeff = 1
@@ -147,9 +165,9 @@ def _generator_rows(ctx, std, cols, i: int, t: int, p: int) -> list[dict[int, in
     tableau, holding the straightened coordinates of the images.
 
     A standard image is its own straightening, so it goes into the block as
-    it is; only the other images of T go to the context, in one call.  The
-    test (`_split_standard`) is exact, so the block is the one that
-    straightening every image gives."""
+    it is; only the other images of T go to the context, in one call that
+    tells it they are not standard.  The test (`_split_standard`) is exact,
+    so the block is the one that straightening every image gives."""
     block: dict[Tableau, dict[int, int]] = {}
     for col in cols:
         tab = std[col]
@@ -158,7 +176,7 @@ def _generator_rows(ctx, std, cols, i: int, t: int, p: int) -> list[dict[int, in
             continue
         standard, rest = _split_standard(tab, i, terms)
         if rest:
-            coords = ctx.straighten_terms(rest)
+            coords = ctx._straighten_images(rest)
             add_scaled(coords, 1, {s: v for v, s in standard}, p)
             standard = [(v, s) for s, v in coords.items()]
         for v, s in standard:
@@ -208,6 +226,11 @@ def hom_dim(lam, mu, p: int) -> tuple[int, list[HomElement]]:
     if sum(lam) != sum(mu):
         raise ValueError(f"degree mismatch: {lam} vs {mu}")
     check_prime(p)
+    return _hom(lam, mu, p)
+
+
+def _hom(lam, mu, p: int) -> tuple[int, list[HomElement]]:
+    """hom_dim on canonical partitions of one degree and a checked prime."""
     key = (lam, mu, p)
     cached = _hom_cache.get(key)
     if cached is None:
@@ -301,8 +324,9 @@ def verify_stabilization(lam, mu, p: int, k: int, d: int) -> StabilizationReport
     mu2 = mu[1] if len(mu) > 1 else 0
     hyp_power = _power_exceeds(p, d, min(lam2, mu1 - lam1))
     hyp_overlap = mu2 <= lam1
-    dim, basis = hom_dim(lam, mu, p)
-    dim_plus, basis_plus = hom_dim(lam_plus, mu_plus, p)
+    # the four shapes are canonical, of one degree per pair, and p is checked
+    dim, basis = _hom(lam, mu, p)
+    dim_plus, basis_plus = _hom(lam_plus, mu_plus, p)
     transport_in_kernel: bool | None = None
     if hyp_overlap:
         # T -> T^+ keeps the order of Std, so each h is its own transport

@@ -37,7 +37,9 @@ full vectors, and the unit-lead check means what it meant before.
 
 A context's caches hold only the tableaux that reached it.  The relation
 blocks (`homspace._generator_rows`) hand it only the images that are not
-standard, so the standard images, most of them, are never cached here.
+standard, so the standard images, most of them, are never cached here; and
+it takes that verdict as given, so such an image pays for no second
+standardness test.  Every other tableau is tested on its first miss.
 """
 
 from __future__ import annotations
@@ -51,7 +53,12 @@ from .tableaux import Tableau, enumerate_standard
 
 class WeylContext:
     """Straightening engine for one (shape, p), with memoized expansions;
-    `get_context` checks p and builds each one once."""
+    `get_context` checks p and builds each one once.
+
+    On a miss, `straighten_tableau` checks the shape and keeps a standard
+    tableau as it is; `_compute` expands the others.  The relation images
+    that `homspace._split_standard` found not standard come in through
+    `_straighten_images`, which sends its misses to `_compute` unchecked."""
 
     def __init__(self, mu, p: int):
         self.mu = partition(mu)
@@ -69,10 +76,11 @@ class WeylContext:
         """Expansion of [tab] over the standard tableaux of its weight."""
         cached = self._expansions.get(tab)
         if cached is None:
-            # a cached tableau passed this check when it was computed
+            # a cached tableau passed this check, or came from a relation
+            # image of shape mu, when it was computed
             if tab.shape != self.mu:
                 raise ValueError(f"tableau of shape {tab.shape} in context {self.mu}")
-            cached = self._expansions[tab] = self._compute(tab)
+            cached = self._expansions[tab] = {tab: 1} if tab.is_standard() else self._compute(tab)
         return cached
 
     def straighten_terms(self, terms) -> dict[Tableau, int]:
@@ -90,11 +98,28 @@ class WeylContext:
             add_scaled(acc, coeff, expansion, p)
         return acc
 
+    def _straighten_images(self, terms) -> dict[Tableau, int]:
+        """straighten_terms for the relation images that
+        `homspace._split_standard` found not standard, with nonzero
+        coefficients.  straighten_terms reads them through a generator that
+        first expands each one not yet cached by `_compute`, with no shape
+        or standardness check, so the straightening still runs inside that
+        one straighten_terms call and finds each image cached."""
+        expansions = self._expansions
+
+        def expanded():
+            for term in terms:
+                tab = term[1]
+                if tab not in expansions:
+                    expansions[tab] = self._compute(tab)
+                yield term
+
+        return self.straighten_terms(expanded())
+
     # -- straightening cases ---------------------------------------------
 
     def _compute(self, tab: Tableau) -> dict[Tableau, int]:
-        if tab.is_standard():
-            return {tab: 1}
+        """Expansion of a tableau of shape mu that is not standard."""
         if len(tab) >= 2 and tab[1][0] > 0:
             expanded = self._ones_step(tab)
             return self.straighten_terms(expanded)
@@ -114,27 +139,38 @@ class WeylContext:
               prod_s C(b_s + i_s, b_s) [T'],
         where T' has rows 1, 2 replaced by 1^(a_1+b_1) s^(a_s - i_s) and
         s^(b_s + i_s).  Rows below ride along unchanged.
+
+        Only the slots s with a_s > 0 can take an i_s > 0, so the (i_s) run
+        over those slots alone, in ascending lexicographic order, and each
+        term writes only them into copies of rows 1 and 2.
         """
         p = self.p
         a, b = tab[0], tab[1]
         b1 = b[0]
         if a[0] + b1 > self.mu[0]:
             return []
-        width = tab.width
         sign = (-1) ** b1 % p
+        slots = [s for s in range(1, tab.width) if a[s]]
+        rest = tab[2:]
         terms = []
-        caps = [a[j] for j in range(1, width)]
-        for comp in bounded_compositions(b1, caps):
+        for comp in bounded_compositions(b1, [a[s] for s in slots]):
             coeff = sign
-            for j, i_s in enumerate(comp, start=1):
+            new_a = list(a)
+            new_b = list(b)
+            new_a[0] += b1
+            new_b[0] = 0
+            for s, i_s in zip(slots, comp):
                 if i_s:
-                    coeff = (coeff * binom_mod(b[j] + i_s, b[j], p)) % p
-            if not coeff:
-                continue
-            new_a = (a[0] + b1,) + tuple(a[j] - comp[j - 1] for j in range(1, width))
-            new_b = (0,) + tuple(b[j] + comp[j - 1] for j in range(1, width))
-            # row sums and column totals are unchanged, so the counts stay canonical
-            terms.append((coeff, Tableau._of((new_a, new_b) + tab[2:])))
+                    b_s = b[s]
+                    # C(b_s + 1, b_s) = b_s + 1
+                    coeff = coeff * (b_s + 1 if i_s == 1 else binom_mod(b_s + i_s, i_s, p)) % p
+                    if not coeff:
+                        break
+                    new_a[s] -= i_s
+                    new_b[s] = b_s + i_s
+            else:
+                # row sums and column totals are unchanged, so the counts stay canonical
+                terms.append((coeff, Tableau._of((tuple(new_a), tuple(new_b)) + rest)))
         return terms
 
     def _peel(self, tab: Tableau) -> dict[Tableau, int]:

@@ -19,6 +19,9 @@ images as one matrix over a sorted monomial index, for the full-rank
 checks.  `dprime` itself is checked against a brute-force dealing that
 shares nothing with it
 (`test_polyalg.py::test_dprime_matches_brute_force_dealing`).
+`reference_ones_step` is the two-row ones-elimination as it rebuilt rows 1
+and 2 across the whole width, which the slot-only `_ones_step` is checked
+against term for term.
 `reference_specht_gens` is the Specht oracle's brute-force construction: a
 fresh polytabloid and an `Echelon.solve` for every adjacent transposition
 and standard tableau, with no use of Young's rule.
@@ -62,6 +65,7 @@ from weylhom.polyalg import (
     ExpansionLimitError,
     ExtMonomial,
     Monomial,
+    bounded_compositions,
     dp_comult,
     dprime,
     mono,
@@ -465,6 +469,33 @@ def reference_generator_rows(ctx, std, cols, i: int, t: int, p: int) -> list[dic
         for s, v in ctx.straighten_terms(phi_eval_terms(std[col], i, t, p)).items():
             block.setdefault(s, {})[col] = v
     return [block[s] for s in sorted(block)]
+
+
+def reference_ones_step(mu, tab: Tableau, p: int) -> list[tuple[int, Tableau]]:
+    """The two-row ones-elimination of a tableau of shape mu with a 1 in
+    row 2, as `WeylContext._ones_step` computed it before it ran only over
+    row 1's nonzero slots: compositions (i_s) of b_1 over every slot
+    s = 2..width, each term's rows 1 and 2 rebuilt across the whole width
+    and every coefficient a `binom_mod`."""
+    a, b = tab[0], tab[1]
+    b1 = b[0]
+    if a[0] + b1 > mu[0]:
+        return []
+    width = tab.width
+    sign = (-1) ** b1 % p
+    terms = []
+    caps = [a[j] for j in range(1, width)]
+    for comp in bounded_compositions(b1, caps):
+        coeff = sign
+        for j, i_s in enumerate(comp, start=1):
+            if i_s:
+                coeff = (coeff * binom_mod(b[j] + i_s, b[j], p)) % p
+        if not coeff:
+            continue
+        new_a = (a[0] + b1,) + tuple(a[j] - comp[j - 1] for j in range(1, width))
+        new_b = (0,) + tuple(b[j] + comp[j - 1] for j in range(1, width))
+        terms.append((coeff, Tableau._of((new_a, new_b) + tab[2:])))
+    return terms
 
 
 def reference_phi_terms(tab: Tableau, factors, p: int) -> list[tuple[int, Tableau]]:

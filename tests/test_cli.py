@@ -196,6 +196,7 @@ def test_verify_refuses_a_first_row_too_long_to_print(capsys, monkeypatch):
 
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
     monkeypatch.setattr(homspace, "hom_dim", never)
+    monkeypatch.setattr(homspace, "_hom", never)
     code, out, err = run(capsys, "verify", "-p", "3", "--lambda", "2,1", "--mu", "3", "-d", "10000")
     assert code == 1 and out == ""
     assert err == "error: k*p^d = 1*3^10000 is too large: a first row would exceed 4300 digits\n"

@@ -13,6 +13,7 @@ from conftest import (
     reference_relation_matrix,
     relation_generators,
     run_python,
+    transpose,
 )
 from weylhom.gfp import binom_mod
 from weylhom.homspace import (
@@ -139,10 +140,21 @@ def _aggregate(terms, p):
     return acc
 
 
+# the paper's (28,5,2^9) -> (31,20) family at its first and its largest
+# benchmarked first rows
+PAPER_PAIRS = [((28, 5) + (2,) * 9, (31, 20)), ((109, 5) + (2,) * 9, (112, 20))]
+
+
+def _closed_form_terms(T, i, t, p):
+    if i == 1:
+        return _closed_form_first_row_terms(T, t, p)
+    return _closed_form_deeper_row_terms(T, i, t, p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_phi_eval_matches_closed_forms(p):
-    # the production closed form against the generic tensor evaluation, as
-    # ordered lists, and against the two test-side closed-form patterns
+    # the production closed form against the generic tensor evaluation and
+    # against the two test-side closed-form patterns, as ordered lists
     for r in range(2, 7):
         shapes = all_partitions(r)
         for lam in shapes:
@@ -161,14 +173,26 @@ def test_phi_eval_matches_closed_forms(p):
                         # built without validation, so check each against it
                         for _, tab in terms:
                             assert_canonical(tab)
-                        got = _aggregate(terms, p)
-                        if gen.i == 1:
-                            want = _aggregate(_closed_form_first_row_terms(T, gen.t, p), p)
-                        else:
-                            want = _aggregate(
-                                _closed_form_deeper_row_terms(T, gen.i, gen.t, p), p
-                            )
-                        assert got == want, (lam, mu, T.render(), gen.i, gen.t)
+                        assert terms == _closed_form_terms(T, gen.i, gen.t, p), (
+                            lam, mu, T.render(), gen.i, gen.t
+                        )
+    if p == 2:
+        return
+    # every generator x_{i,t} (t = 1 takes the unit moves) and column of the
+    # paper pairs, where the tensor evaluation is out of reach
+    unit = 0
+    for lam, mu in PAPER_PAIRS:
+        std = enumerate_standard(mu, lam)
+        for gen in relation_generators(lam):
+            for T in std:
+                terms = phi_eval_terms(T, gen.i, gen.t, p)
+                assert terms == _closed_form_terms(T, gen.i, gen.t, p), (
+                    lam, mu, T.render(), gen.i, gen.t
+                )
+                for _, tab in terms:
+                    assert_canonical(tab)
+                unit += gen.t == 1 and len(terms) > 1
+    assert unit
 
 
 def test_phi_eval_trims_emptied_last_column():
@@ -324,6 +348,24 @@ def test_hom_dim_identity_and_semisimple():
             for mu in shapes:
                 expected = 1 if lam == mu else 0
                 assert hom_dim(lam, mu, 7)[0] == expected, (lam, mu)
+
+
+def test_hom_dim_is_invariant_under_transposing_the_pair():
+    # hom(lambda, mu) = hom(mu', lambda') at every prime: S(n, r) with n >= r
+    # is its own Ringel dual, Delta(lambda) going to nabla(lambda') (Donkin,
+    # The q-Schur algebra, ch. 4); for odd p also James, LNM 682, Thm 8.15.
+    # The two sides solve different systems, over K_{mu lambda} and
+    # K_{lambda' mu'} columns, and p = 2 is checked too.
+    pairs = 0
+    for r in range(1, 8):
+        shapes = all_partitions(r)
+        for p in (2, 3, 5):
+            for lam in shapes:
+                for mu in shapes:
+                    dim = hom_dim(lam, mu, p)[0]
+                    assert dim == hom_dim(transpose(mu), transpose(lam), p)[0], (lam, mu, p)
+                    pairs += 1
+    assert pairs == 1302
 
 
 def test_kernel_vectors_kill_every_generator():

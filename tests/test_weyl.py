@@ -11,6 +11,7 @@ from conftest import (
     is_class_a,
     orbit_expansion,
     reference_dprime,
+    reference_ones_step,
     reference_relation_matrix,
     reference_straighten,
     relation_generators,
@@ -416,6 +417,37 @@ def test_ones_step_terms_are_canonical(monkeypatch, p):
                 if enumerate_standard(mu, lam):
                     reference_relation_matrix(lam, mu, p)
     assert seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ones_step_matches_the_whole_width_rebuild(monkeypatch, p):
+    # the ones-step runs over row 1's nonzero slots only; its term lists must
+    # be those of the whole-width rebuild, in order, on every tableau that
+    # reaches it in the relation blocks of degree <= 7 and of the paper's
+    # (28,5,2^9) -> (31,20) family at first rows 28 and 109
+    ones_step = WeylContext._ones_step
+    seen = 0
+
+    def checked(self, tab):
+        nonlocal seen
+        terms = ones_step(self, tab)
+        assert terms == reference_ones_step(self.mu, tab, self.p), (self.mu, tab.render())
+        seen += 1
+        return terms
+
+    monkeypatch.setattr(WeylContext, "_ones_step", checked)
+    for r in range(2, 8):
+        shapes = all_partitions(r)
+        for lam in shapes:
+            for mu in shapes:
+                if enumerate_standard(mu, lam):
+                    relation_matrix(lam, mu, p)
+    small = seen
+    assert small
+    if p != 2:
+        for lam, mu in [((28, 5) + (2,) * 9, (31, 20)), ((109, 5) + (2,) * 9, (112, 20))]:
+            relation_matrix(lam, mu, p)
+        assert seen > small
 
 
 @pytest.mark.parametrize("p", [2, 3])
