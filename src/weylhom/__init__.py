@@ -20,7 +20,7 @@ from .homspace import (
     relation_matrix,
     verify_stabilization,
 )
-from .polyalg import ExpansionLimitError, dprime, mono
+from .polyalg import ExpansionLimitError, dprime
 from .shapes import FirstRowTooLargeError, all_partitions, composition, parse_partition, partition, stabilize
 from .specht import oracle_compare, specht_hom_dim, specht_rep
 from .tableaux import Tableau, enumerate_standard, from_row_entries

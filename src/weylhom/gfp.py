@@ -155,9 +155,6 @@ class MatrixGFp:
         p = self.p
         return [sum(c * v[j] for j, c in row.items()) % p for row in self.rows]
 
-    def kernel_basis(self) -> list[list[int]]:
-        return Echelon(self).kernel_basis()
-
 
 class Echelon:
     """Reduced echelon form of a growing MatrixGFp, reusable for kernels and solves.

@@ -1,11 +1,12 @@
-"""Divided-power monomials and tensors, comultiplication, and the exterior
-realization map sending a tableau of shape mu into the column wedge space.
-A realization is symmetric under permuting columns of equal height, so it
-is returned on the representatives of that symmetry only (see `dprime`).
+"""The exterior realization map sending a tableau of shape mu into the
+column wedge space, and divided-power comultiplication.  A realization is
+symmetric under permuting columns of equal height, so it is returned on the
+representatives of that symmetry only (see `dprime`).
 
-Monomials are tuples of (entry, exponent) pairs with entries ascending, so
-1^(3)2^(2)4 is ((1, 3), (2, 2), (4, 1)).  Comultiplication splits
-exponents coefficient-free.
+No library module calls `dp_comult`; it stays because the benchmark's
+tracer (bench/spans.py) wraps it.  Its divided-power monomials are tuples
+of (entry, exponent) pairs with entries ascending, so 1^(3)2^(2)4 is
+((1, 3), (2, 2), (4, 1)), and it splits exponents coefficient-free.
 """
 
 from __future__ import annotations
@@ -14,29 +15,11 @@ import math
 from bisect import bisect_left
 from operator import sub
 
-Monomial = tuple[tuple[int, int], ...]
 ExtMonomial = tuple[tuple[int, ...], ...]
 
 
 class ExpansionLimitError(RuntimeError):
     """The exterior expansion of a tensor would exceed the configured term budget."""
-
-
-def mono(items) -> Monomial:
-    """Canonical monomial from (entry, exponent) pairs or a dict."""
-    if isinstance(items, dict):
-        items = items.items()
-    agg: dict[int, int] = {}
-    for e, c in items:
-        if c < 0:
-            raise ValueError(f"negative exponent for entry {e}")
-        if c:
-            agg[e] = agg.get(e, 0) + c
-    return tuple(sorted(agg.items()))
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(c for _, c in m)
 
 
 def bounded_compositions(total: int, caps) -> list[tuple[int, ...]]:
@@ -80,7 +63,7 @@ def bounded_compositions(total: int, caps) -> list[tuple[int, ...]]:
     return [comp + pad + (left,) + tail for comp, left in comps]
 
 
-def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
+def dp_comult(m: tuple[tuple[int, int], ...], degrees) -> list[tuple]:
     """All splittings of m into slots of the given degrees, coefficient-free.
 
     Each entry's exponent is distributed independently; a component is one
@@ -91,11 +74,10 @@ def dp_comult(m: Monomial, degrees) -> list[tuple[Monomial, ...]]:
     degrees = tuple(int(d) for d in degrees)
     if any(d < 0 for d in degrees):
         raise ValueError("negative slot degree")
-    if sum(degrees) != mono_degree(m):
-        raise ValueError(
-            f"degree mismatch: monomial has degree {mono_degree(m)}, slots sum to {sum(degrees)}"
-        )
-    splits: list[tuple[tuple[Monomial, ...], tuple[int, ...]]] = [(((),) * len(degrees), degrees)]
+    degree = sum(c for _, c in m)
+    if sum(degrees) != degree:
+        raise ValueError(f"degree mismatch: monomial has degree {degree}, slots sum to {sum(degrees)}")
+    splits: list[tuple[tuple, tuple[int, ...]]] = [(((),) * len(degrees), degrees)]
     for e, c in m:
         splits = [
             (tuple(s + ((e, v),) if v else s for s, v in zip(slots, parts)), tuple(map(sub, left, parts)))

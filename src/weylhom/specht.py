@@ -260,11 +260,11 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
     the nu_prime action).  X is then a module map iff
     A_i M_b v = sum_c B_i[c][b] M_c v for every i and b off the tree.  The
     mirror of a move, s_i e_c = e_b after s_i e_b = e_c was used, gives
-    A_i times the same rows (A_i^2 = 1) and is skipped, as are repeated
-    rows.  Each row is built only when it is absorbed, with the rows of M it
-    needs, and streamed into one `gfp.Echelon`, whose rank is current after
-    every row: at rank fa only v = 0 is left, and the answer is 0 without
-    reading the rest.
+    A_i times the same rows (A_i^2 = 1) and is skipped.  Each row is built
+    only when it is absorbed, with the rows of M it needs, and streamed into
+    one `gfp.Echelon`, which reduces a repeated row to nothing and whose
+    rank is current after every row: at rank fa only v = 0 is left, and the
+    answer is 0 without reading the rest.
 
     All of this runs on the pair `_oriented` picks after the degree check,
     the given one or (transpose(nu_prime), transpose(nu)), whichever has the
@@ -310,7 +310,6 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
         return row
 
     ech = Echelon(MatrixGFp(0, fa, p))
-    seen = set()  # rows already absorbed; membership only
     for b in order:
         for i, a_gen in enumerate(a_rows):
             col = b_cols[i][b]
@@ -322,10 +321,8 @@ def specht_hom_dim(nu, nu_prime, p: int) -> int:
                     add_scaled(row, c, m_row(b, k), p)
                 for t, c in col:
                     add_scaled(row, -c, m_row(t, a), p)
-                key = frozenset(row.items())
-                if not row or key in seen:
+                if not row:
                     continue
-                seen.add(key)
                 ech.absorb([row])
                 if ech.rank == fa:
                     return 0

@@ -35,8 +35,9 @@ back-substitution are checked against.
 
 The reference implementations the library itself never runs live here too:
 dense and entrywise matrix construction (`from_dense`, `set_entry`), the
-divided-power product `dp_mult`, on partitions `dominates`
-and the Weyl dimension formula `weyl_dimension`, the relation generators
+divided-power monomials `mono` (with `mono_degree`) and their product
+`dp_mult`, on partitions `dominates` and the Weyl dimension formula
+`weyl_dimension`, the relation generators
 x_{i,t} for every t (`relation_generators`, with `is_power` picking the
 t = p^j that `relation_matrix` walks) and their weights
 (`generator_weight`), and the size of the full dealing over every column
@@ -64,17 +65,35 @@ from weylhom.homspace import phi_eval_terms
 from weylhom.polyalg import (
     ExpansionLimitError,
     ExtMonomial,
-    Monomial,
     bounded_compositions,
     dp_comult,
     dprime,
-    mono,
-    mono_degree,
 )
 from weylhom.shapes import composition, partition, transpose
 from weylhom.specht import specht_rep, standard_young_tableaux
 from weylhom.tableaux import Tableau, enumerate_standard
 from weylhom.weyl import get_context
+
+
+Monomial = tuple[tuple[int, int], ...]
+
+
+def mono(items) -> Monomial:
+    """Canonical divided-power monomial from (entry, exponent) pairs or a
+    dict: entries ascending, zero exponents dropped, repeats summed."""
+    if isinstance(items, dict):
+        items = items.items()
+    agg: dict[int, int] = {}
+    for e, c in items:
+        if c < 0:
+            raise ValueError(f"negative exponent for entry {e}")
+        if c:
+            agg[e] = agg.get(e, 0) + c
+    return tuple(sorted(agg.items()))
+
+
+def mono_degree(m: Monomial) -> int:
+    return sum(c for _, c in m)
 
 
 def run_python(args, str_digits=None) -> subprocess.CompletedProcess:

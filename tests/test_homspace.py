@@ -8,6 +8,7 @@ from conftest import (
     generator_tensor,
     generator_weight,
     is_power,
+    mono,
     reference_generator_rows,
     reference_phi_terms,
     reference_relation_matrix,
@@ -15,7 +16,7 @@ from conftest import (
     run_python,
     transpose,
 )
-from weylhom.gfp import binom_mod
+from weylhom.gfp import Echelon, binom_mod
 from weylhom.homspace import (
     HomElement,
     _generator_rows,
@@ -27,7 +28,6 @@ from weylhom.homspace import (
     relation_matrix,
     verify_stabilization,
 )
-from weylhom.polyalg import mono
 from weylhom.shapes import all_partitions, stabilize
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
 from weylhom.weyl import get_context
@@ -288,7 +288,7 @@ def test_p_power_generators_keep_the_kernel_of_all_generators():
         rows = sorted(sorted(row.items()) for row in relation_matrix(lam, mu, p).rows)
         assert rows == sorted(sorted(row.items()) for row in cut.rows), (lam, mu, p)
         want = [list(h.coeffs) for h in hom_dim(lam, mu, p)[1]]
-        assert reference_relation_matrix(lam, mu, p).kernel_basis() == want, (lam, mu, p)
+        assert Echelon(reference_relation_matrix(lam, mu, p)).kernel_basis() == want, (lam, mu, p)
         checked += 1
     assert checked == 357
 
@@ -307,14 +307,14 @@ def test_hom_dim_streams_to_the_kernel_of_relation_matrix():
                 for mu in shapes:
                     if not enumerate_standard(mu, lam):
                         continue
-                    want = relation_matrix(lam, mu, p).kernel_basis()
+                    want = Echelon(relation_matrix(lam, mu, p)).kernel_basis()
                     assert [list(h.coeffs) for h in hom_dim(lam, mu, p)[1]] == want, (lam, mu, p)
                     checked += 1
     assert checked == 699
     lam, mu = (28, 5) + (2,) * 9, (31, 20)
     for p, k, d in ((3, 1, 2), (3, 2, 3), (3, 3, 3), (5, 1, 1), (5, 2, 2)):
         for pair in ((lam, mu), (stabilize(lam, k, d, p), stabilize(mu, k, d, p))):
-            want = relation_matrix(*pair, p).kernel_basis()
+            want = Echelon(relation_matrix(*pair, p)).kernel_basis()
             assert [list(h.coeffs) for h in hom_dim(*pair, p)[1]] == want, (pair, p)
 
 
@@ -322,7 +322,7 @@ def test_hom_dim_streams_to_the_kernel_of_relation_matrix():
 def test_rows_of_t_equal_p_are_needed(lam, mu, p):
     # the t = 1 rows alone leave a spurious map; the t = p row removes it
     ones_only = reference_relation_matrix(lam, mu, p, keep=lambda t: t == 1)
-    assert len(ones_only.kernel_basis()) == 1
+    assert len(Echelon(ones_only).kernel_basis()) == 1
     assert hom_dim(lam, mu, p) == (0, [])
 
 
@@ -350,6 +350,13 @@ def test_hom_dim_identity_and_semisimple():
                 assert hom_dim(lam, mu, 7)[0] == expected, (lam, mu)
 
 
+def _pairs_to_degree_7():
+    for r in range(1, 8):
+        shapes = all_partitions(r)
+        for p in (2, 3, 5):
+            yield from ((lam, mu, p) for lam in shapes for mu in shapes)
+
+
 def test_hom_dim_is_invariant_under_transposing_the_pair():
     # hom(lambda, mu) = hom(mu', lambda') at every prime: S(n, r) with n >= r
     # is its own Ringel dual, Delta(lambda) going to nabla(lambda') (Donkin,
@@ -357,15 +364,58 @@ def test_hom_dim_is_invariant_under_transposing_the_pair():
     # The two sides solve different systems, over K_{mu lambda} and
     # K_{lambda' mu'} columns, and p = 2 is checked too.
     pairs = 0
-    for r in range(1, 8):
-        shapes = all_partitions(r)
-        for p in (2, 3, 5):
-            for lam in shapes:
-                for mu in shapes:
-                    dim = hom_dim(lam, mu, p)[0]
-                    assert dim == hom_dim(transpose(mu), transpose(lam), p)[0], (lam, mu, p)
-                    pairs += 1
+    for lam, mu, p in _pairs_to_degree_7():
+        assert hom_dim(lam, mu, p)[0] == hom_dim(transpose(mu), transpose(lam), p)[0], (lam, mu, p)
+        pairs += 1
     assert pairs == 1302
+
+
+def _basis(lam, mu, p):
+    return [h.coeffs for h in hom_dim(lam, mu, p)[1]]
+
+
+# Three exact reductions (row and column removal: Donkin 1985, Fayers-Lyle
+# 2003).  Each removal maps Std onto the reduced pair's Std in order, so the
+# bases agree vector for vector, at p = 2 too.  The engine runs on both
+# sides, so these catch a fault that breaks a reduction, not one that
+# commutes with it.
+
+
+def test_row_removal_keeps_the_basis():
+    # lambda_1 = mu_1: the 1s fill row 1 of every T, which carries nothing
+    cases = 0
+    for lam, mu, p in _pairs_to_degree_7():
+        if lam[0] == mu[0]:
+            assert _basis(lam, mu, p) == _basis(lam[1:], mu[1:], p), (lam, mu, p)
+            cases += 1
+    assert cases == 270
+
+
+def test_column_removal_keeps_the_basis():
+    # l(lambda) = l(mu) = n: the first column of every T is 1..n
+    def strip(nu):
+        return tuple(part - 1 for part in nu if part > 1)
+
+    cases = 0
+    for lam, mu, p in _pairs_to_degree_7():
+        if len(lam) == len(mu):
+            assert _basis(lam, mu, p) == _basis(strip(lam), strip(mu), p), (lam, mu, p)
+            cases += 1
+    assert cases == 270
+
+
+def test_row_split_gives_the_kronecker_products_of_the_bases():
+    # lambda_1+...+lambda_k = mu_1+...+mu_k: the entries <= k fill the top k
+    # rows, and Std is the product of the two halves' Std in lexicographic order
+    cases = 0
+    for lam, mu, p in _pairs_to_degree_7():
+        for k in range(1, min(len(lam), len(mu))):
+            if sum(lam[:k]) == sum(mu[:k]):
+                top, bottom = _basis(lam[:k], mu[:k], p), _basis(lam[k:], mu[k:], p)
+                kron = {tuple(a * b % p for a in u for b in v) for u in top for v in bottom}
+                assert set(_basis(lam, mu, p)) == kron, (lam, mu, p, k)
+                cases += 1
+    assert cases == 519
 
 
 def test_kernel_vectors_kill_every_generator():

@@ -10,6 +10,8 @@ from conftest import (
     distinct_permutations,
     dp_mult,
     is_representative,
+    mono,
+    mono_degree,
     orbit_expansion,
     tableau_monomials,
     tensor_expansion_count,
@@ -19,8 +21,6 @@ from weylhom.polyalg import (
     bounded_compositions,
     dp_comult,
     dprime,
-    mono,
-    mono_degree,
 )
 from weylhom.tableaux import Tableau
 

@@ -9,6 +9,8 @@ from conftest import (
     generator_tensor,
     generator_weight,
     is_class_a,
+    mono,
+    mono_degree,
     orbit_expansion,
     reference_dprime,
     reference_ones_step,
@@ -21,7 +23,7 @@ from conftest import (
 import weylhom.weyl as weyl
 from weylhom.gfp import Echelon, InconsistentSystemError
 from weylhom.homspace import relation_matrix
-from weylhom.polyalg import ExpansionLimitError, dprime, mono
+from weylhom.polyalg import ExpansionLimitError, dprime
 from weylhom.shapes import all_partitions, composition
 from weylhom.tableaux import Tableau, enumerate_standard, from_row_entries
 from weylhom.weyl import WeylContext, column_word, get_context, straighten
@@ -354,7 +356,7 @@ def test_defining_relations_straighten_to_zero(p):
     Straightening must therefore annihilate every such combination.
     """
     from weylhom.gfp import binom_mod
-    from weylhom.polyalg import dp_comult, mono, mono_degree
+    from weylhom.polyalg import dp_comult
 
     rng = random.Random(100 + p)
     shapes = [(3, 2), (4, 2), (3, 3), (2, 2, 1), (3, 2, 2), (2, 2, 2, 1)]
