@@ -18,7 +18,14 @@ from . import config
 from .gfp import NonPrimeModulusError, check_prime
 from .homspace import hom_dim, verify_stabilization
 from .polyalg import ExpansionLimitError
-from .shapes import FirstRowTooLargeError, all_partitions, format_partition, parse_partition, stabilize
+from .shapes import (
+    FirstRowTooLargeError,
+    all_partitions,
+    format_partition,
+    parse_partition,
+    stabilize,
+    transpose,
+)
 from .specht import check_dictionary_prime, specht_hom_dim
 from .tableaux import enumerate_standard
 
@@ -68,7 +75,13 @@ def _basis_payload(basis):
 def cmd_dim(args) -> int:
     lam, mu = _parse_common(args)
     start = time.perf_counter()
-    dim, basis = hom_dim(lam, mu, args.p)
+    if not args.with_basis and lam and lam[0] < len(mu):
+        # dim Hom(lambda, mu) = dim Hom(mu', lambda'), whose source has the
+        # longer first row: a tall pair, such as 1^n -> (2, 1^(n-2)), solves
+        # as the wide one, (n-1, 1) -> (n), on one generator
+        dim, basis = hom_dim(transpose(mu), transpose(lam), args.p)
+    else:
+        dim, basis = hom_dim(lam, mu, args.p)
     elapsed = time.perf_counter() - start
     report = {
         "command": "basis" if args.with_basis else "dim",

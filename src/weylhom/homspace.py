@@ -14,14 +14,23 @@ times); whatever every E_i^(p^j) kills, E_i^(t) kills too.  The rows of a
 generator are keyed by the standard tableaux its images reach, so a target
 no image reaches gives no row.
 
-`relation_matrix` builds every row.  `hom_dim` instead streams the
-generators' blocks, in (i, t) order, into one `gfp.Echelon`, and evaluates
-each later generator only on the columns of the kernel's support so far;
-once that support is empty, Hom is 0 and the rest is never evaluated.  This
-is exact: every vector of the kernel so far is 0 off its support, so a row
-cut to the support cuts the same vectors out of it as the whole row does.
-The final kernel is therefore the kernel of `relation_matrix`, and since
-the reduced form depends only on the row space, so is its basis.
+`relation_matrix` builds every row, in (i, t) order.  `hom_dim` instead
+streams the generators' blocks into one `gfp.Echelon`, and evaluates each
+later generator only on the columns of the kernel's support so far; once
+that support is empty, Hom is 0 and the rest is never evaluated.  This is
+exact in any order: every vector of the kernel so far is 0 off its support,
+so a row cut to the support cuts the same vectors out of it as the whole row
+does.  The final kernel is therefore the kernel of `relation_matrix`, and
+since the reduced form depends only on the row space, so is its basis.
+
+So the order is free, and `_stream_start` puts the cheap blocks first.
+When mu_2 <= lambda_1 (the paper's overlap hypothesis), every image of an
+x_{i,t} with i >= 2 keeps its lambda_1 >= mu_2 ones in row 1 and has none
+below, so it straightens by one peel into the context of mu[1:]; only the
+x_{1,t} images bring 1s into row 2, and those need the ones-step over the
+long first row.  There the x_{i,t} with i >= 2 go first, in (i, t) order,
+and the x_{1,t} last, often on a kernel the cheap blocks have already cut
+to nothing.  Otherwise x_{1,t} is as cheap as any, and (i, t) order stands.
 
 Most images are already standard, and a standard tableau is its own
 straightening, so those go into a generator's block as they are; only the
@@ -119,14 +128,17 @@ def phi_eval_terms(tab: Tableau, i: int, t: int, p: int) -> list[tuple[int, Tabl
     return terms
 
 
-def _generators(lam, p: int):
-    """The relation generators that get rows, as (i, t): i = 1..len(lam)-1
-    and t = 1, p, p^2, ... <= lam_{i+1}, in that order."""
-    for i in range(1, len(lam)):
+def _generators(lam, p: int, first: int):
+    """The relation generators that get rows, as (i, t): i = first..len(lam)-1
+    and then 1..first-1, and t = 1, p, p^2, ... <= lam_{i+1}, in that order."""
+    n = len(lam)
+    i = first
+    for _ in range(1, n):
         t = 1
         while t <= lam[i]:
             yield i, t
             t *= p
+        i = i + 1 if i + 1 < n else 1
 
 
 def _split_standard(tab: Tableau, i: int, terms):
@@ -196,20 +208,31 @@ def relation_matrix(lam, mu, p: int) -> MatrixGFp:
     std = enumerate_standard(mu, lam)
     ctx = get_context(mu, p)
     cols = range(len(std))
-    rows = [row for i, t in _generators(lam, p) for row in _generator_rows(ctx, std, cols, i, t, p)]
+    rows = [row for i, t in _generators(lam, p, 1) for row in _generator_rows(ctx, std, cols, i, t, p)]
     return MatrixGFp(len(rows), len(std), p, rows)
 
 
 _hom_cache: dict[tuple, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
 
+def _stream_start(lam, mu) -> int:
+    """The generator index i that `_kernel` streams from: 2 when mu_2 <=
+    lambda_1 (mu_2 = 0 for a one-row mu), so that the x_{1,t}, whose images
+    alone need the ones-step, come last; 1, for (i, t) order, otherwise or
+    when x_{1,t} are the only generators (see the module docstring)."""
+    return 2 if len(lam) > 2 and (len(mu) < 2 or mu[1] <= lam[0]) else 1
+
+
 def _kernel(lam, mu, p: int, std) -> tuple[tuple[int, ...], ...]:
     """The reduced kernel basis of relation_matrix(lam, mu, p), from one
-    block per generator on the columns still live (see the module docstring)."""
+    block per generator on the columns still live.  With mu_2 <= lambda_1
+    the blocks of x_{1,t}, whose images alone need the ones-step, come last
+    (`_stream_start`); otherwise they come in (i, t) order.  Every order
+    gives the same basis (see the module docstring)."""
     ctx = get_context(mu, p)
     ech = Echelon(MatrixGFp(0, len(std), p))
     live = range(len(std))
-    for i, t in _generators(lam, p):
+    for i, t in _generators(lam, p, _stream_start(lam, mu)):
         rows = _generator_rows(ctx, std, live, i, t, p)
         if rows:
             ech.absorb(rows)

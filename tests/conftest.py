@@ -32,6 +32,10 @@ spanning tree or early stop.
 `reference_rref` is dense Gauss-Jordan elimination over GF(p), column by
 column with row swaps, that `Echelon`'s sparse elimination and
 back-substitution are checked against.
+`stream_kernel` streams the generator blocks as `hom_dim` does, but in any
+order a test gives, so the stream order can be checked not to change the
+kernel.  `p_core` reads a p-core off an abacus, for the linkage check, with
+no use of the library.
 
 The reference implementations the library itself never runs live here too:
 dense and entrywise matrix construction (`from_dense`, `set_entry`), the
@@ -61,7 +65,7 @@ import pytest
 
 import weylhom
 from weylhom.gfp import Echelon, MatrixGFp, add_scaled, binom_mod, check_prime
-from weylhom.homspace import phi_eval_terms
+from weylhom.homspace import _generator_rows, phi_eval_terms
 from weylhom.polyalg import (
     ExpansionLimitError,
     ExtMonomial,
@@ -478,6 +482,38 @@ def reference_relation_matrix(lam, mu, p: int, keep=lambda t: True) -> MatrixGFp
                 block.setdefault(s, {})[col] = v
         rows.extend(block.values())
     return MatrixGFp(len(rows), len(std), p, rows)
+
+
+def stream_kernel(lam, mu, p: int, order) -> list[list[int]]:
+    """The reduced kernel basis of relation_matrix(lam, mu, p), streamed as
+    `homspace._kernel` streams it, one block per generator on the columns
+    still live and stopping once none is, but over the generators (i, t) in
+    the given order."""
+    std = enumerate_standard(mu, lam)
+    ctx = get_context(mu, p)
+    ech = Echelon(MatrixGFp(0, len(std), p))
+    live = range(len(std))
+    for i, t in order:
+        rows = _generator_rows(ctx, std, live, i, t, p)
+        if rows:
+            ech.absorb(rows)
+            live = ech.support()
+            if not live:
+                return []
+    return ech.kernel_basis()
+
+
+def p_core(nu, p: int) -> tuple[int, ...]:
+    """The p-core of the partition nu, on a p-runner abacus: bead positions
+    (beta numbers) nu_j + n - j for the n parts, each bead slid up its runner
+    (position mod p) as far as it goes, and the partition read back.  Sliding
+    a bead up one step removes one rim p-hook, so what is left is the core."""
+    n = len(nu)
+    beads = [0] * p
+    for j, part in enumerate(nu):
+        beads[(part + n - 1 - j) % p] += 1
+    slid = sorted((r + p * k for r in range(p) for k in range(beads[r])), reverse=True)
+    return tuple(b - (n - 1 - j) for j, b in enumerate(slid) if b > n - 1 - j)
 
 
 def reference_generator_rows(ctx, std, cols, i: int, t: int, p: int) -> list[dict[int, int]]:

@@ -6,7 +6,9 @@ import pytest
 from conftest import run_python
 import weylhom.cli as cli
 from weylhom import config, homspace
-from weylhom.homspace import StabilizationReport
+from weylhom.homspace import StabilizationReport, hom_dim
+from weylhom.shapes import all_partitions, transpose
+from weylhom.tableaux import enumerate_standard
 
 
 def run(capsys, *argv):
@@ -36,6 +38,46 @@ def test_dim_empty_standard_set(capsys):
         capsys, "dim", "-p", "3", "--lambda", "2", "--mu", "1,1", "--format", "json"
     )
     assert code == 0 and report["dim"] == 0
+
+
+def test_dim_solves_a_tall_pair_transposed(capsys, monkeypatch):
+    # dim (not basis) takes dim Hom(lambda, mu) from hom(mu', lambda') when
+    # lambda_1 < l(mu); the report is the given pair's, std_count too
+    solved = []
+
+    def spy(lam, mu, p):
+        solved.append((lam, mu))
+        return hom_dim(lam, mu, p)
+
+    monkeypatch.setattr(cli, "hom_dim", spy)
+    tall = 0
+    for r in range(1, 7):
+        shapes = all_partitions(r)
+        for lam in shapes:
+            for mu in shapes:
+                for p in (2, 3):
+                    want = {
+                        "command": "dim",
+                        "p": p,
+                        "lambda": list(lam),
+                        "mu": list(mu),
+                        "dim": hom_dim(lam, mu, p)[0],
+                        "std_count": len(enumerate_standard(mu, lam)),
+                    }
+                    argv = ["-p", str(p), "--lambda", ",".join(map(str, lam)), "--mu", ",".join(map(str, mu))]
+                    code, report = run_json(capsys, "dim", *argv, "--format", "json")
+                    assert code == 0 and report.pop("wall_time_s") >= 0
+                    assert report == want, (lam, mu, p)
+                    flip = lam[0] < len(mu)
+                    assert solved.pop() == ((transpose(mu), transpose(lam)) if flip else (lam, mu))
+                    tall += flip
+                    code, report = run_json(capsys, "basis", *argv, "--format", "json")
+                    assert report["dim"] == want["dim"] and solved.pop() == (lam, mu)
+    assert tall == 160
+    # 1^80 -> (2, 1^78) solves as (79, 1) -> (80): one generator, not 79
+    code, report = run_json(capsys, "dim", "-p", "3", "--lambda", "1^80", "--mu", "2,1^78", "--format", "json")
+    assert code == 0 and report["dim"] == 0 and report["std_count"] == 79
+    assert solved == [((79, 1), (80,))]
 
 
 def test_basis_lists_tableau_indexed_vectors(capsys):
@@ -315,8 +357,9 @@ def test_scan_rejects_negative_k_and_d(capsys):
 SCAN_2 = ["scan", "--max-degree", "2"]
 DIM_2_2 = ["dim", "-p", "2", "--lambda", "1,1,1,1", "--mu", "2,2"]
 DIM_3 = ["dim", "-p", "3", "--lambda", "2,1", "--mu", "3"]
-# a dim that needs five exterior solves, however few columns stay live
-DIM_1_5 = ["dim", "-p", "2", "--lambda", "1^5", "--mu", "2,2,1"]
+# a dim that needs an exterior solve, however few columns stay live; the
+# pair is its own transpose, so dim solves it as given
+DIM_222_33 = ["dim", "-p", "2", "--lambda", "2,2,2", "--mu", "3,3"]
 
 
 @pytest.mark.parametrize(
@@ -327,7 +370,7 @@ DIM_1_5 = ["dim", "-p", "2", "--lambda", "1^5", "--mu", "2,2,1"]
         for i, case in enumerate([
             ("WEYLHOM_WORKERS", "abc", SCAN_2, "must be an integer"),
             ("WEYLHOM_MAX_SCAN_DEGREE", "abc", SCAN_2, "must be an integer"),
-            ("WEYLHOM_EXPANSION_LIMIT", "1", DIM_1_5, "beyond the budget"),
+            ("WEYLHOM_EXPANSION_LIMIT", "1", DIM_222_33, "beyond the budget"),
             ("WEYLHOM_MAX_SCAN_DEGREE", "-3", SCAN_2, "must be at least 0"),
             ("WEYLHOM_EXPANSION_LIMIT", "0", DIM_2_2, "must be at least 1"),
             ("WEYLHOM_EXPANSION_LIMIT", "-1", DIM_2_2, "must be at least 1"),

@@ -9,11 +9,13 @@ from conftest import (
     generator_weight,
     is_power,
     mono,
+    p_core,
     reference_generator_rows,
     reference_phi_terms,
     reference_relation_matrix,
     relation_generators,
     run_python,
+    stream_kernel,
     transpose,
 )
 from weylhom.gfp import Echelon, binom_mod
@@ -23,6 +25,7 @@ from weylhom.homspace import (
     _generators,
     _power_exceeds,
     _split_standard,
+    _stream_start,
     hom_dim,
     phi_eval_terms,
     relation_matrix,
@@ -240,7 +243,7 @@ def test_generator_rows_match_straightening_every_image():
                         continue
                     ctx = get_context(mu, p)
                     cols = range(len(std))
-                    for i, t in _generators(lam, p):
+                    for i, t in _generators(lam, p, 1):
                         got = _generator_rows(ctx, std, cols, i, t, p)
                         want = reference_generator_rows(ctx, std, cols, i, t, p)
                         assert [list(row.items()) for row in got] == [
@@ -316,6 +319,77 @@ def test_hom_dim_streams_to_the_kernel_of_relation_matrix():
         for pair in ((lam, mu), (stabilize(lam, k, d, p), stabilize(mu, k, d, p))):
             want = Echelon(relation_matrix(*pair, p)).kernel_basis()
             assert [list(h.coeffs) for h in hom_dim(*pair, p)[1]] == want, (pair, p)
+
+
+def test_stream_start_puts_the_x1_blocks_last_exactly_when_mu2_le_lam1():
+    # with mu_2 <= lambda_1 the blocks of x_{i,t}, i >= 2, go first in (i, t)
+    # order and those of x_{1,t} last; otherwise (i, t) order stands
+    sides = {True: 0, False: 0}
+    for r in range(1, 9):
+        shapes = all_partitions(r)
+        for lam in shapes:
+            for mu in shapes:
+                overlap = len(mu) < 2 or mu[1] <= lam[0]
+                for p in (2, 3, 5):
+                    got = list(_generators(lam, p, _stream_start(lam, mu)))
+                    plain = list(_generators(lam, p, 1))
+                    ones = [g for g in plain if g[0] == 1]
+                    rest = [g for g in plain if g[0] > 1]
+                    assert got == (rest + ones if overlap else plain), (lam, mu, p)
+                sides[overlap] += 1
+    assert sides == {True: 854, False: 64}
+    lam, mu = (28, 5) + (2,) * 9, (31, 20)
+    assert list(_generators(lam, 3, _stream_start(lam, mu))) == [(i, 1) for i in range(2, 11)] + [(1, 1), (1, 3)]
+    assert list(_generators((2, 2, 2), 2, _stream_start((2, 2, 2), (3, 3)))) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def test_stream_order_leaves_the_kernel_unchanged():
+    # the live-column cut and the Hom = 0 exit are exact in any order: the
+    # (i, t) order, the stream order and the full reverse give the reduced
+    # kernel basis of hom_dim, on every pair of degree <= 7 with a nonempty
+    # Std and on the paper's large family with its stabilizations
+    def check(lam, mu, p):
+        plain = list(_generators(lam, p, 1))
+        orders = (plain, list(_generators(lam, p, _stream_start(lam, mu))), plain[::-1])
+        want = [list(h.coeffs) for h in hom_dim(lam, mu, p)[1]]
+        for order in orders:
+            assert stream_kernel(lam, mu, p, order) == want, (lam, mu, p, order)
+
+    checked = 0
+    for r in range(1, 8):
+        shapes = all_partitions(r)
+        for p in (2, 3, 5):
+            for lam in shapes:
+                for mu in shapes:
+                    if enumerate_standard(mu, lam):
+                        check(lam, mu, p)
+                        checked += 1
+    assert checked == 699
+    lam, mu = (28, 5) + (2,) * 9, (31, 20)
+    for p, k, d in ((3, 1, 2), (3, 2, 3), (3, 3, 3), (5, 1, 1), (5, 2, 2)):
+        check(lam, mu, p)
+        check(stabilize(lam, k, d, p), stabilize(mu, k, d, p), p)
+
+
+def _hook_lengths(nu):
+    cols = transpose(nu)
+    return [nu[i] - j + cols[j] - i - 1 for i in range(len(nu)) for j in range(nu[i])]
+
+
+def test_nonzero_hom_needs_equal_p_cores():
+    # linkage (Donkin): a nonzero Hom puts Delta(lambda) and Delta(mu) in one
+    # block of S(n, r), n >= r, and its blocks are the classes of one p-core,
+    # as for the symmetric group (Nakayama's conjecture); `p_core` reads the
+    # cores off an abacus, with no use of the library
+    nonzero = 0
+    for lam, mu, p in _pairs_to_degree_7():
+        core = p_core(lam, p)
+        assert (sum(lam) - sum(core)) % p == 0, (lam, p)
+        assert all(h % p for h in _hook_lengths(core)), (lam, p, core)
+        if hom_dim(lam, mu, p)[0]:
+            assert core == p_core(mu, p), (lam, mu, p)
+            nonzero += 1
+    assert nonzero == 261
 
 
 @pytest.mark.parametrize("lam, mu, p", [((5, 2), (7,), 2), ((5, 3), (8,), 3)])
